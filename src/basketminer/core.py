@@ -171,13 +171,22 @@ class TransactionDb:
         return f"TransactionDb(n={self.n}, items={len(self.dictionary)})"
 
 
+def _exact(value) -> Fraction:
+    """``Fraction(value)``, taking a float through its shortest round-trip
+    decimal."""
+    if isinstance(value, float):
+        return Fraction(repr(value))
+    return Fraction(value)
+
+
 @dataclass(frozen=True)
 class MiningParams:
     """Mining thresholds: relative minimum support and minimum confidence.
 
     Both fractions must lie in (0, 1]. Values are normalized to exact
-    ``Fraction``s; floats are converted to their exact binary value, and
-    strings like ``"3/7"`` or ``"0.05"`` parse exactly.
+    ``Fraction``s; a float becomes the decimal its ``repr`` prints (0.1 is
+    1/10, not the binary value just above it), and strings like ``"3/7"``
+    or ``"0.05"`` parse exactly.
     """
 
     min_support: Fraction
@@ -185,8 +194,8 @@ class MiningParams:
     max_itemset_size: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "min_support", Fraction(self.min_support))
-        object.__setattr__(self, "min_confidence", Fraction(self.min_confidence))
+        object.__setattr__(self, "min_support", _exact(self.min_support))
+        object.__setattr__(self, "min_confidence", _exact(self.min_confidence))
         if not 0 < self.min_support <= 1:
             raise ValueError(f"min_support must be in (0, 1], got {self.min_support}")
         if not 0 < self.min_confidence <= 1:

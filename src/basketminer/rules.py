@@ -3,8 +3,9 @@
 For every frequent itemset Z with at least two items, every non-empty
 proper subset X becomes an antecedent of the rule X -> Z \\ X. Support and
 confidence come straight from the counts already mined (no database
-rescan), stay exact rationals internally, and render as whole percents
-(rounded half away from zero) only at the presentation edge.
+rescan). Thresholds are tested by integer cross-multiplication of those
+counts; each emitted rule's scores are exact rationals, rendered as whole
+percents (rounded half away from zero) only at the presentation edge.
 """
 
 from __future__ import annotations
@@ -17,32 +18,11 @@ from typing import Sequence
 
 from .core import (
     AssociationRule,
-    DomainError,
     FrequentItemset,
     InternalConsistencyError,
     MiningParams,
     TransactionDb,
 )
-
-
-def rule_support(union_count: int, n_transactions: int) -> Fraction:
-    """Rule support: union_count / N, as an exact rational."""
-    if n_transactions == 0:
-        raise DomainError("support is undefined for an empty database")
-    if not 0 < union_count <= n_transactions:
-        raise DomainError(
-            f"union count {union_count} must be in 1..{n_transactions}")
-    return Fraction(union_count, n_transactions)
-
-
-def rule_confidence(union_count: int, antecedent_count: int) -> Fraction:
-    """Rule confidence: union_count / antecedent_count, as an exact rational."""
-    if antecedent_count == 0:
-        raise DomainError("confidence is undefined when the antecedent never occurs")
-    if not 0 < union_count <= antecedent_count:
-        raise DomainError(
-            f"union count {union_count} must be in 1..{antecedent_count}")
-    return Fraction(union_count, antecedent_count)
 
 
 def percent(value: Fraction) -> int:
@@ -76,29 +56,29 @@ class RuleSet:
         return iter(self.rules)
 
 
-def _canonical_order(rule: AssociationRule):
-    return (-rule.confidence, -rule.support, rule.antecedent, rule.consequent)
-
-
 def generate_rules(frequents: Sequence[FrequentItemset], db: TransactionDb,
                    params: MiningParams,
                    max_antecedent: int | None = None) -> RuleSet:
-    """Emit every X -> Z\\X split of the frequent itemsets that passes
-    min_confidence (min_support holds by construction of ``frequents``).
+    """Emit every X -> Z\\X split of the frequent itemsets Z whose count
+    meets min_support and whose confidence meets min_confidence.
 
+    Both thresholds are tested on the integer counts: support against
+    ``params.absolute_threshold(N)``, confidence by cross-multiplication.
+    Fractions appear only in the emitted rules' scores.
     ``frequents`` must be downward-closed, which the mining engines
-    guarantee; a missing subset count raises InternalConsistencyError.
-    ``max_antecedent`` caps the antecedent size (None = no cap).
+    guarantee; a missing subset count, or one below its itemset's count,
+    raises InternalConsistencyError. ``max_antecedent`` caps the
+    antecedent size (None = no cap).
     """
     counts = {f.itemset: f.count for f in frequents}
     n = db.n
+    threshold = params.absolute_threshold(n)
+    num, den = params.min_confidence.as_integer_ratio()
     rules = []
     for frequent in frequents:
         z = frequent.itemset
-        if len(z) < 2:
-            continue
         union_count = frequent.count
-        if Fraction(union_count, n) < params.min_support:
+        if len(z) < 2 or union_count < threshold:
             continue
         max_size = len(z) - 1
         if max_antecedent is not None:
@@ -110,7 +90,11 @@ def generate_rules(frequents: Sequence[FrequentItemset], db: TransactionDb,
                     raise InternalConsistencyError(
                         f"antecedent {antecedent} of frequent itemset {z} "
                         f"is missing from the mined counts")
-                if rule_confidence(union_count, antecedent_count) < params.min_confidence:
+                if antecedent_count < union_count:
+                    raise InternalConsistencyError(
+                        f"antecedent {antecedent} has count {antecedent_count}, "
+                        f"below the count {union_count} of its superset {z}")
+                if union_count * den < num * antecedent_count:
                     continue
                 chosen = set(antecedent)
                 consequent = tuple(i for i in z if i not in chosen)
@@ -120,5 +104,9 @@ def generate_rules(frequents: Sequence[FrequentItemset], db: TransactionDb,
                     union_count=union_count,
                     antecedent_count=antecedent_count,
                     n_transactions=n))
-    rules.sort(key=_canonical_order)
+    # Exact: two distinct confidences u/a with a <= N (AssociationRule
+    # checks it) differ by at least 1/N^2, so floor(N^2 * u / a) keeps them
+    # apart; N is fixed, so descending support is descending u.
+    rules.sort(key=lambda r: (-(r.union_count * n * n // r.antecedent_count),
+                              -r.union_count, r.antecedent, r.consequent))
     return RuleSet(tuple(rules), params, n)

@@ -189,6 +189,12 @@ class TestMiningParams:
         params = MiningParams(min_support=min_support, min_confidence=1)
         assert params.absolute_threshold(n) == expected
 
+    def test_float_support_is_its_shortest_decimal(self):
+        # The binary value of 0.1 lies just above 1/10, which would ceil to 2.
+        params = MiningParams(min_support=0.1, min_confidence=1)
+        assert params.min_support == Fraction(1, 10)
+        assert params.absolute_threshold(10) == 1
+
     def test_threshold_never_below_one(self):
         params = MiningParams(min_support=Fraction(1, 10), min_confidence=1)
         assert params.absolute_threshold(0) == 1

@@ -1,11 +1,11 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
 from basketminer.core import (
-    DomainError,
     FrequentItemset,
     InternalConsistencyError,
     MiningParams,
@@ -15,55 +15,8 @@ from basketminer.rules import (
     format_percent,
     generate_rules,
     percent,
-    rule_confidence,
-    rule_support,
 )
 from helpers import db_from_ids, random_db
-
-
-class TestRuleSupport:
-    def test_wheat_pulses_support(self):
-        assert rule_support(4, 7) == Fraction(4, 7)
-        assert format_percent(rule_support(4, 7)) == "57%"
-
-    def test_rice_pulses_support(self):
-        assert rule_support(3, 7) == Fraction(3, 7)
-        assert format_percent(rule_support(3, 7)) == "43%"
-
-    def test_full_support(self):
-        assert rule_support(7, 7) == 1
-        assert format_percent(rule_support(7, 7)) == "100%"
-
-    def test_empty_database_is_domain_error(self):
-        with pytest.raises(DomainError):
-            rule_support(1, 0)
-
-    @pytest.mark.parametrize("union, n", [(0, 7), (8, 7), (-1, 7)])
-    def test_out_of_range_counts_rejected(self, union, n):
-        with pytest.raises(DomainError):
-            rule_support(union, n)
-
-
-class TestRuleConfidence:
-    def test_wheat_pulses_confidence(self):
-        assert rule_confidence(4, 5) == Fraction(4, 5)
-        assert format_percent(rule_confidence(4, 5)) == "80%"
-
-    def test_rice_pulses_confidence(self):
-        assert rule_confidence(3, 3) == 1
-        assert format_percent(rule_confidence(3, 3)) == "100%"
-
-    @pytest.mark.parametrize("k", [1, 2, 9])
-    def test_equal_counts_give_certainty(self, k):
-        assert rule_confidence(k, k) == 1
-
-    def test_absent_antecedent_is_domain_error(self):
-        with pytest.raises(DomainError):
-            rule_confidence(0, 0)
-
-    def test_union_cannot_exceed_antecedent(self):
-        with pytest.raises(DomainError):
-            rule_confidence(5, 4)
 
 
 class TestPercentRendering:
@@ -102,6 +55,17 @@ class TestGenerateRules:
         assert (rice.support, rice.confidence) == (Fraction(3, 7), Fraction(1))
         assert (wheat.support, wheat.confidence) == (Fraction(4, 7), Fraction(4, 5))
 
+    def test_float_confidence_keeps_exact_boundary_rule(self, grocery_db):
+        # Wheat -> Pulses has confidence exactly 4/5; the binary value of
+        # 0.8 lies above it.
+        params = MiningParams(min_support=Fraction(3, 7), min_confidence=0.8)
+        assert params.min_confidence == Fraction(4, 5)
+        rules = generate_rules(self._grocery_frequents(grocery_db),
+                               grocery_db, params)
+        assert ((1,), (2,), 4, 5) in {
+            (r.antecedent, r.consequent, r.union_count, r.antecedent_count)
+            for r in rules}
+
     def test_grocery_at_full_confidence(self, grocery_db):
         params = MiningParams(Fraction(3, 7), 1)
         ruleset = generate_rules(self._grocery_frequents(grocery_db),
@@ -131,6 +95,34 @@ class TestGenerateRules:
         params = MiningParams(Fraction(3, 7), Fraction(1, 2))
         with pytest.raises(InternalConsistencyError):
             generate_rules(broken, grocery_db, params)
+
+    def test_subset_count_below_itemset_is_inconsistency(self, grocery_db):
+        broken = [FrequentItemset((1,), 3), FrequentItemset((2,), 5),
+                  FrequentItemset((1, 2), 4)]
+        params = MiningParams(Fraction(3, 7), Fraction(1, 2))
+        with pytest.raises(InternalConsistencyError):
+            generate_rules(broken, grocery_db, params)
+
+    def test_filters_frequents_mined_at_lower_support(self, grocery_db):
+        frequents = brute_force_mine(grocery_db, MiningParams(Fraction(1, 7), 1))
+        params = MiningParams(Fraction(3, 7), Fraction(1, 100))
+        ruleset = generate_rules(frequents, grocery_db, params)
+        unions = {tuple(sorted(r.antecedent + r.consequent)) for r in ruleset}
+        assert unions == {f.itemset for f in frequents
+                          if len(f.itemset) > 1 and f.count >= 3}
+        # Wheat-Pulses has count 4, Sugar-Pulses and Pulses-Rice exactly 3.
+        assert unions == {(1, 2), (0, 2), (2, 3)}
+
+    def test_order_is_exact_at_huge_n(self):
+        n = 10**17
+        db = SimpleNamespace(n=n)
+        frequents = [FrequentItemset((0,), n - 1), FrequentItemset((1,), n - 2),
+                     FrequentItemset((0, 1), n - 3)]
+        params = MiningParams(Fraction(1, 2), Fraction(1, 2))
+        ruleset = generate_rules(frequents, db, params)
+        # (n-3)/(n-2) > (n-3)/(n-1), but both round to the float 1.0.
+        assert [(r.antecedent, r.consequent) for r in ruleset] == [
+            ((1,), (0,)), ((0,), (1,))]
 
     def test_no_duplicate_rule_pairs(self):
         rng = random.Random(21)
