@@ -18,6 +18,7 @@ from typing import Sequence
 
 from .core import (
     AssociationRule,
+    DomainError,
     FrequentItemset,
     InternalConsistencyError,
     MiningParams,
@@ -68,10 +69,13 @@ def generate_rules(frequents: Sequence[FrequentItemset], db: TransactionDb,
     ``frequents`` must be downward-closed, which the mining engines
     guarantee; a missing subset count, or one below its itemset's count,
     raises InternalConsistencyError. ``max_antecedent`` caps the
-    antecedent size (None = no cap).
+    antecedent size (None = no cap). An empty database (N = 0) raises
+    DomainError.
     """
-    counts = {f.itemset: f.count for f in frequents}
     n = db.n
+    if n == 0:
+        raise DomainError("cannot generate rules from an empty transaction database")
+    counts = {f.itemset: f.count for f in frequents}
     threshold = params.absolute_threshold(n)
     num, den = params.min_confidence.as_integer_ratio()
     rules = []

@@ -1,6 +1,7 @@
 """Acceptance suite: one test per criterion, asserting the frozen
 expectations exactly and enforcing the stated runtime budgets."""
 
+import gc
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -226,3 +227,29 @@ def test_criterion_6_generator_calibration():
     measured = count / db.n
     assert 0.47 <= measured <= 0.53
     print(f"criterion 6 PASS: planted 0.5 pattern measured at {measured:.4f}")
+
+
+def test_dense_data_engines_agree_within_time_bound():
+    # Eight overlapping 5-item patterns over item_1..item_60, labels apart
+    # from the item_0001-style padding universe; itemsets reach size 8.
+    patterns = tuple(
+        (tuple(f"item_{(3 * k + j) % 60 + 1}" for j in range(5)), 0.15)
+        for k in range(8))
+    db = generate_db(GeneratorConfig(
+        num_transactions=10_000, universe_size=100, basket_size_range=(5, 15),
+        patterns=patterns, seed=3))
+    params = MiningParams(Fraction(3, 100), 1)
+    results = {}
+    for engine in (apriori_mine, fpgrowth_mine):
+        # Free cyclic garbage left by earlier tests (criterion 5's FP tree
+        # takes seconds to collect) so the bound times the engine alone.
+        gc.collect()
+        started = perf_counter()
+        results[engine] = engine(db, params)
+        elapsed = perf_counter() - started
+        assert elapsed < 5.0, f"{engine.__module__} took {elapsed:.1f}s"
+    from_apriori, from_fpgrowth = results.values()
+    assert from_apriori == from_fpgrowth
+    assert len(from_apriori) == 4071
+    assert max(len(f.itemset) for f in from_apriori) == 8
+    print("dense gate PASS: Apriori and FP-Growth agree on 4071 itemsets")

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from basketminer.apriori import (
     CandidateSet,
@@ -9,6 +12,7 @@ from basketminer.apriori import (
     candidate_gen,
     count_level,
     frequent_singletons,
+    mine_levels,
 )
 from basketminer.core import (
     ContractViolationError,
@@ -20,7 +24,7 @@ from basketminer.core import (
     support_count,
 )
 from basketminer.oracle import brute_force_mine
-from helpers import as_pairs, random_db
+from helpers import as_pairs, db_from_ids, random_db
 
 PARAMS_3_OF_7 = MiningParams(min_support=Fraction(3, 7), min_confidence=1)
 
@@ -82,6 +86,22 @@ class TestCandidateGen:
         with pytest.raises(ValueError):
             CandidateSet(2, ((0, 1), (0, 1, 2)))
 
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 4), data=st.data())
+    def test_matches_join_with_every_subset_checked(self, k, data):
+        level = data.draw(st.sets(
+            st.frozensets(st.integers(0, 6), min_size=k, max_size=k),
+            max_size=20))
+        prev_sets = {tuple(sorted(s)) for s in level}
+        # Every k+1 set of items whose k-subsets are all frequent, found
+        # without the prefix join.
+        items = sorted({i for s in prev_sets for i in s})
+        expected = tuple(c for c in combinations(items, k + 1)
+                         if all(sub in prev_sets
+                                for sub in combinations(c, k)))
+        result = candidate_gen([FrequentItemset(s, 1) for s in prev_sets])
+        assert result.candidates == expected
+
 
 class TestCountLevel:
     def test_counts_match_direct_support(self, grocery_db):
@@ -97,6 +117,24 @@ class TestCountLevel:
 
     def test_no_candidates_short_circuits(self, grocery_db):
         assert count_level(grocery_db, CandidateSet(2, ()), 1) == []
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65])
+    def test_counts_at_byte_and_word_boundaries(self, n, k):
+        # Items 0-4 fill the transactions at random; the last transaction
+        # (the highest bit) holds items 0-5, so item 5 occurs once and
+        # item 6 never.
+        rng = random.Random(n)
+        transactions = [rng.sample(range(5), rng.randint(1, 4))
+                        for _ in range(n - 1)]
+        if n:
+            transactions.append(range(6))
+        db = db_from_ids(transactions, 7)
+        candidates = tuple(combinations(range(7), k))
+        result = count_level(db, CandidateSet(k, candidates), 1)
+        expected = [(c, support_count(db, c)) for c in candidates
+                    if support_count(db, c) >= 1]
+        assert [(f.itemset, f.count) for f in result] == expected
 
 
 class TestAprioriMine:
@@ -161,3 +199,18 @@ class TestAprioriMine:
             params = MiningParams(Fraction(threshold, db.n), 1)
             assert as_pairs(apriori_mine(db, params)) == \
                 as_pairs(brute_force_mine(db, params))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_mine_levels_matches_oracle(self, data):
+        n_items = data.draw(st.integers(1, 8))
+        baskets = data.draw(st.lists(
+            st.frozensets(st.integers(0, n_items - 1), min_size=1),
+            min_size=1, max_size=70))
+        db = db_from_ids(baskets, n_items)
+        threshold = data.draw(st.integers(1, db.n))
+        result, _ = mine_levels(db, frequent_singletons(db, threshold),
+                                threshold)
+        expected = brute_force_mine(db, MiningParams(Fraction(threshold, db.n), 1))
+        assert [(f.itemset, f.count) for f in result] == \
+            [(f.itemset, f.count) for f in expected]

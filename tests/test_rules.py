@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from basketminer.core import (
+    DomainError,
     FrequentItemset,
     InternalConsistencyError,
     MiningParams,
@@ -112,6 +113,14 @@ class TestGenerateRules:
                           if len(f.itemset) > 1 and f.count >= 3}
         # Wheat-Pulses has count 4, Sugar-Pulses and Pulses-Rice exactly 3.
         assert unions == {(1, 2), (0, 2), (2, 3)}
+
+    def test_empty_database_is_domain_error(self):
+        empty = db_from_ids([], 2)
+        frequents = [FrequentItemset((0,), 1), FrequentItemset((1,), 1),
+                     FrequentItemset((0, 1), 1)]
+        params = MiningParams(Fraction(1, 2), Fraction(1, 2))
+        with pytest.raises(DomainError, match="empty transaction database"):
+            generate_rules(frequents, empty, params)
 
     def test_order_is_exact_at_huge_n(self):
         n = 10**17
