@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -33,7 +34,7 @@ from .core import (
 )
 from .fpgrowth import mine as fpgrowth_mine
 from .oracle import GeneratorConfig, brute_force_mine, generate_db
-from .rules import RuleSet, format_percent, generate_rules
+from .rules import RuleSet, generate_rules
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -216,9 +217,30 @@ def load_db(path_text: str, file_format: str, skip_header: bool = False,
     return db
 
 
+def ratio_text(part: int, whole: int) -> str:
+    """``str(Fraction(part, whole))`` for counts ``part >= 0``, ``whole > 0``,
+    without building the Fraction."""
+    divisor = math.gcd(part, whole)
+    if divisor == whole:
+        return str(part // divisor)
+    return f"{part // divisor}/{whole // divisor}"
+
+
+def ratio_object(part: int, whole: int) -> dict:
+    """The JSON form of ``part / whole``: lowest terms and the nearest float."""
+    divisor = math.gcd(part, whole)
+    return {"num": part // divisor, "den": whole // divisor,
+            "decimal": part / whole}
+
+
 def fraction_object(value: Fraction) -> dict:
-    return {"num": value.numerator, "den": value.denominator,
-            "decimal": float(value)}
+    return ratio_object(value.numerator, value.denominator)
+
+
+def percent_text(part: int, whole: int) -> str:
+    """``format_percent(Fraction(part, whole))`` for counts: the whole
+    percent, a half rounded up."""
+    return f"{(200 * part + whole) // (2 * whole)}%"
 
 
 def render_table(columns: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
@@ -235,23 +257,20 @@ def render_table(columns: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def itemset_labels(db: TransactionDb, ids: Sequence[int]) -> list[str]:
-    return [db.dictionary.label_of(item_id) for item_id in ids]
-
-
 def rules_as_table(ruleset: RuleSet, db: TransactionDb,
                    frequents: Sequence[FrequentItemset] | None) -> str:
-    rows = [(", ".join(itemset_labels(db, rule.antecedent)),
-             ", ".join(itemset_labels(db, rule.consequent)),
-             format_percent(rule.support),
-             format_percent(rule.confidence))
+    labels = [item.label for item in db.dictionary]
+    rows = [(", ".join([labels[i] for i in rule.antecedent]),
+             ", ".join([labels[i] for i in rule.consequent]),
+             percent_text(rule.union_count, rule.n_transactions),
+             percent_text(rule.union_count, rule.antecedent_count))
             for rule in ruleset]
     out = render_table(RULE_TABLE_HEADER, rows)
     if frequents is not None:
         threshold = ruleset.params.absolute_threshold(ruleset.n_transactions)
         out += (f"\nFrequent itemsets (count >= {threshold} "
                 f"of {ruleset.n_transactions}):\n")
-        itemset_rows = [(", ".join(itemset_labels(db, f.itemset)),
+        itemset_rows = [(", ".join([labels[i] for i in f.itemset]),
                          str(f.count),
                          f"{f.count}/{ruleset.n_transactions}")
                         for f in frequents]
@@ -261,32 +280,34 @@ def rules_as_table(ruleset: RuleSet, db: TransactionDb,
 
 def rules_as_csv(ruleset: RuleSet, db: TransactionDb,
                  frequents: Sequence[FrequentItemset] | None) -> str:
+    labels = [item.label for item in db.dictionary]
+    n = ruleset.n_transactions
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["antecedent", "consequent", "support", "confidence"])
-    for rule in ruleset:
-        writer.writerow([
-            ";".join(itemset_labels(db, rule.antecedent)),
-            ";".join(itemset_labels(db, rule.consequent)),
-            str(rule.support),
-            str(rule.confidence),
-        ])
+    writer.writerows([
+        ";".join([labels[i] for i in rule.antecedent]),
+        ";".join([labels[i] for i in rule.consequent]),
+        ratio_text(rule.union_count, n),
+        ratio_text(rule.union_count, rule.antecedent_count),
+    ] for rule in ruleset)
     if frequents is not None:
         writer.writerow([])
         writer.writerow(["itemset", "count", "support"])
-        for frequent in frequents:
-            writer.writerow([
-                ";".join(itemset_labels(db, frequent.itemset)),
-                frequent.count,
-                str(Fraction(frequent.count, ruleset.n_transactions)),
-            ])
+        writer.writerows([
+            ";".join([labels[i] for i in frequent.itemset]),
+            frequent.count,
+            ratio_text(frequent.count, n),
+        ] for frequent in frequents)
     return buffer.getvalue()
 
 
 def rules_as_json(ruleset: RuleSet, db: TransactionDb, algorithm: str,
                   frequents: Sequence[FrequentItemset] | None) -> str:
+    labels = [item.label for item in db.dictionary]
+    n = ruleset.n_transactions
     payload = {
-        "n_transactions": ruleset.n_transactions,
+        "n_transactions": n,
         "params": {
             "min_support": fraction_object(ruleset.params.min_support),
             "min_confidence": fraction_object(ruleset.params.min_confidence),
@@ -294,10 +315,11 @@ def rules_as_json(ruleset: RuleSet, db: TransactionDb, algorithm: str,
         },
         "rules": [
             {
-                "antecedent": itemset_labels(db, rule.antecedent),
-                "consequent": itemset_labels(db, rule.consequent),
-                "support": fraction_object(rule.support),
-                "confidence": fraction_object(rule.confidence),
+                "antecedent": [labels[i] for i in rule.antecedent],
+                "consequent": [labels[i] for i in rule.consequent],
+                "support": ratio_object(rule.union_count, n),
+                "confidence": ratio_object(rule.union_count,
+                                           rule.antecedent_count),
             }
             for rule in ruleset
         ],
@@ -305,10 +327,9 @@ def rules_as_json(ruleset: RuleSet, db: TransactionDb, algorithm: str,
     if frequents is not None:
         payload["itemsets"] = [
             {
-                "items": itemset_labels(db, frequent.itemset),
+                "items": [labels[i] for i in frequent.itemset],
                 "count": frequent.count,
-                "support": fraction_object(
-                    Fraction(frequent.count, ruleset.n_transactions)),
+                "support": ratio_object(frequent.count, n),
             }
             for frequent in frequents
         ]

@@ -241,8 +241,9 @@ def test_dense_data_engines_agree_within_time_bound():
     params = MiningParams(Fraction(3, 100), 1)
     results = {}
     for engine in (apriori_mine, fpgrowth_mine):
-        # Free cyclic garbage left by earlier tests (criterion 5's FP tree
-        # takes seconds to collect) so the bound times the engine alone.
+        # Free any cyclic garbage earlier tests left, so that collecting it
+        # does not land inside the timed call and the bound times the
+        # engine alone.
         gc.collect()
         started = perf_counter()
         results[engine] = engine(db, params)

@@ -14,6 +14,7 @@ import basketminer
 import basketminer.bench as bench_module
 from basketminer import cli
 from basketminer.core import FrequentItemset
+from basketminer.rules import format_percent
 
 GOLDEN_TABLE = (
     "People who bought this item | Also bought the following items | Support | Confidence\n"
@@ -184,6 +185,28 @@ class TestMine:
         _, first, _ = run_cli(capsys, argv)
         _, second, _ = run_cli(capsys, argv)
         assert first == second
+
+
+class TestRatioFormatting:
+    PAIRS = [(part, whole) for whole in range(1, 61)
+             for part in range(whole + 1)] + [
+        (33_924, 20_000), (17, 2_000), (299_999, 300_000), (2**61, 3**40)]
+
+    def test_ratio_text_prints_the_fraction(self):
+        for part, whole in self.PAIRS:
+            assert cli.ratio_text(part, whole) == str(Fraction(part, whole))
+
+    def test_ratio_object_matches_the_fraction(self):
+        for part, whole in self.PAIRS:
+            value = Fraction(part, whole)
+            assert cli.ratio_object(part, whole) == {
+                "num": value.numerator, "den": value.denominator,
+                "decimal": float(value)}
+
+    def test_percent_text_matches_format_percent(self):
+        for part, whole in self.PAIRS:
+            assert cli.percent_text(part, whole) == \
+                format_percent(Fraction(part, whole))
 
 
 class TestGen:

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -34,7 +35,8 @@ class TestBuildTree:
         tree = build_fp_tree(db, 1)
         path = tree.single_path()
         assert path is not None
-        assert [(node.item, node.count) for node in path] == [(0, 5), (1, 5)]
+        assert [(tree.item[node], tree.count[node]) for node in path] == [
+            (0, 5), (1, 5)]
         assert tree.node_count == 3  # root plus two path nodes
 
     def test_threshold_above_everything_gives_bare_tree(self, grocery_db):
@@ -42,6 +44,12 @@ class TestBuildTree:
         assert tree.header == []
         assert tree.node_count == 1
         assert tree.single_path() == []
+
+    def test_two_branches_are_not_a_single_path(self):
+        db = db_from_ids([(0,), (1,)], 2)
+        tree = build_fp_tree(db, 1)
+        assert tree.node_count == 3
+        assert tree.single_path() is None
 
     def test_threshold_below_one_rejected(self, grocery_db):
         with pytest.raises(ValueError):
@@ -54,7 +62,12 @@ class TestBuildTree:
             threshold = rng.randint(1, max(1, db.n // 2))
             tree = build_fp_tree(db, threshold)
             for entry in tree.header:
-                chained = sum(node.count for node in entry.chain())
+                chained = 0
+                node = entry.head
+                while node:
+                    assert tree.item[node] == entry.item
+                    chained += tree.count[node]
+                    node = tree.next_same_item[node]
                 assert chained == entry.total
                 assert entry.total == support_count(db, (entry.item,))
 
@@ -70,12 +83,28 @@ class TestBuildTree:
 
     def test_child_count_never_exceeds_parent(self, grocery_db):
         tree = build_fp_tree(grocery_db, 1)
-        stack = list(tree.root.children.values())
-        while stack:
-            node = stack.pop()
-            for child in node.children.values():
-                assert child.count <= node.count
-                stack.append(child)
+        assert tree.node_count > 1
+        for node in range(1, tree.node_count):
+            parent = tree.parent[node]
+            assert parent < node
+            if parent:
+                assert tree.count[node] <= tree.count[parent]
+
+    def test_build_and_mine_leave_no_cyclic_garbage(self):
+        rng = random.Random(10)
+        db = db_from_ids([tuple(sorted(rng.sample(range(12), rng.randint(1, 6))))
+                          for _ in range(200)], 12)
+        params = MiningParams(min_support=Fraction(1, 20), min_confidence=1)
+        gc.collect()
+        gc.disable()
+        try:
+            tree = build_fp_tree(db, params.absolute_threshold(db.n))
+            assert tree.node_count > 1
+            del tree
+            assert mine(db, params)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestMine:
