@@ -34,7 +34,7 @@ from .core import (
 )
 from .fpgrowth import mine as fpgrowth_mine
 from .oracle import GeneratorConfig, brute_force_mine, generate_db
-from .rules import RuleSet, generate_rules
+from .rules import RuleSet, generate_rules, whole_percent
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -141,6 +141,13 @@ def add_generator_flags(parser: argparse.ArgumentParser) -> None:
                         help="RNG seed (default 0)")
 
 
+def add_format_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--format", choices=("basket", "tidpairs"),
+                        default="basket", help="input encoding (default basket)")
+    parser.add_argument("--skip-header", action="store_true",
+                        help="skip the first line of a tidpairs file")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="basketminer",
@@ -151,10 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     mine = subparsers.add_parser(
         "mine", help="mine association rules from a transaction file")
     mine.add_argument("--input", required=True, help="transaction file path")
-    mine.add_argument("--format", choices=("basket", "tidpairs"),
-                      default="basket", help="input encoding (default basket)")
-    mine.add_argument("--skip-header", action="store_true",
-                      help="skip the first line of a tidpairs file")
+    add_format_flags(mine)
     mine.add_argument("--min-support", type=fraction_arg, required=True,
                       help="relative support threshold in (0, 1]")
     mine.add_argument("--min-confidence", type=fraction_arg, required=True,
@@ -181,7 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench_parser = subparsers.add_parser(
         "bench", help="time the engines against each other")
     bench_parser.add_argument("--input", default=None,
-                              help="basket file; omit to use the generator")
+                              help="transaction file; omit to use the "
+                                   "generator")
+    add_format_flags(bench_parser)
     add_generator_flags(bench_parser)
     bench_parser.add_argument("--thresholds", type=thresholds_arg,
                               default=thresholds_arg("0.02,0.05,0.1,0.2"),
@@ -238,41 +244,56 @@ def fraction_object(value: Fraction) -> dict:
 
 
 def percent_text(part: int, whole: int) -> str:
-    """``format_percent(Fraction(part, whole))`` for counts: the whole
-    percent, a half rounded up."""
-    return f"{(200 * part + whole) // (2 * whole)}%"
+    """``format_percent(Fraction(part, whole))`` for counts."""
+    return f"{whole_percent(part, whole)}%"
+
+
+def csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it in a field (QUOTE_MINIMAL);
+    text with a comma, quote or line break goes through ``csv`` itself."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerow((text, ""))
+        return buffer.getvalue()[:-2]
+    return text
+
+
+class Memo(dict):
+    """A dict that fills a missing key with ``make(key)``."""
+
+    def __init__(self, make: Callable):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 def render_table(columns: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    widths = [len(column) for column in columns]
-    for row in rows:
-        for index, cell in enumerate(row):
-            widths[index] = max(widths[index], len(cell))
-    lines = [" | ".join(cell.ljust(width)
-                        for cell, width in zip(columns, widths)).rstrip()]
-    lines.append("-+-".join("-" * width for width in widths))
-    for row in rows:
-        lines.append(" | ".join(cell.ljust(width)
-                                for cell, width in zip(row, widths)).rstrip())
+    widths = [max(map(len, column)) for column in zip(columns, *rows)]
+    line = " | ".join(f"{{:<{width}}}" for width in widths).format
+    lines = [line(*columns).rstrip(),
+             "-+-".join("-" * width for width in widths)]
+    lines += [line(*row).rstrip() for row in rows]
     return "\n".join(lines) + "\n"
 
 
 def rules_as_table(ruleset: RuleSet, db: TransactionDb,
                    frequents: Sequence[FrequentItemset] | None) -> str:
     labels = [item.label for item in db.dictionary]
-    rows = [(", ".join([labels[i] for i in rule.antecedent]),
-             ", ".join([labels[i] for i in rule.consequent]),
-             percent_text(rule.union_count, rule.n_transactions),
-             percent_text(rule.union_count, rule.antecedent_count))
-            for rule in ruleset]
+    n = ruleset.n_transactions
+    names = Memo(lambda ids: ", ".join([labels[i] for i in ids]))
+    supports = Memo(lambda union: percent_text(union, n))
+    rows = [(names[antecedent], names[consequent], supports[-neg_union],
+             percent_text(-neg_union, antecedent_count))
+            for _, neg_union, antecedent, consequent, antecedent_count
+            in ruleset.rows]
     out = render_table(RULE_TABLE_HEADER, rows)
     if frequents is not None:
-        threshold = ruleset.params.absolute_threshold(ruleset.n_transactions)
-        out += (f"\nFrequent itemsets (count >= {threshold} "
-                f"of {ruleset.n_transactions}):\n")
-        itemset_rows = [(", ".join([labels[i] for i in f.itemset]),
-                         str(f.count),
-                         f"{f.count}/{ruleset.n_transactions}")
+        threshold = ruleset.params.absolute_threshold(n)
+        out += f"\nFrequent itemsets (count >= {threshold} of {n}):\n"
+        itemset_rows = [(names[f.itemset], str(f.count), f"{f.count}/{n}")
                         for f in frequents]
         out += render_table(("Itemset", "Count", "Support"), itemset_rows)
     return out
@@ -282,58 +303,72 @@ def rules_as_csv(ruleset: RuleSet, db: TransactionDb,
                  frequents: Sequence[FrequentItemset] | None) -> str:
     labels = [item.label for item in db.dictionary]
     n = ruleset.n_transactions
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["antecedent", "consequent", "support", "confidence"])
-    writer.writerows([
-        ";".join([labels[i] for i in rule.antecedent]),
-        ";".join([labels[i] for i in rule.consequent]),
-        ratio_text(rule.union_count, n),
-        ratio_text(rule.union_count, rule.antecedent_count),
-    ] for rule in ruleset)
+    names = Memo(lambda ids: csv_field(";".join([labels[i] for i in ids])))
+    supports = Memo(lambda union: ratio_text(union, n))
+    lines = ["antecedent,consequent,support,confidence\n"]
+    lines += [f"{names[antecedent]},{names[consequent]},{supports[-neg_union]},"
+              f"{ratio_text(-neg_union, antecedent_count)}\n"
+              for _, neg_union, antecedent, consequent, antecedent_count
+              in ruleset.rows]
     if frequents is not None:
-        writer.writerow([])
-        writer.writerow(["itemset", "count", "support"])
-        writer.writerows([
-            ";".join([labels[i] for i in frequent.itemset]),
-            frequent.count,
-            ratio_text(frequent.count, n),
-        ] for frequent in frequents)
-    return buffer.getvalue()
+        lines.append("\nitemset,count,support\n")
+        lines += [f"{names[f.itemset]},{f.count},{supports[f.count]}\n"
+                  for f in frequents]
+    return "".join(lines)
+
+
+def json_ratio(part: int, whole: int, indent: str) -> str:
+    """``ratio_object(part, whole)`` as ``json.dumps(..., indent=2)`` writes
+    it at nesting ``indent``."""
+    value = ratio_object(part, whole)
+    return (f'{{\n{indent}  "num": {value["num"]},\n'
+            f'{indent}  "den": {value["den"]},\n'
+            f'{indent}  "decimal": {value["decimal"]!r}\n{indent}}}')
+
+
+def json_array(entries: Sequence[str], indent: str) -> str:
+    """A JSON array of already-encoded ``entries``, laid out as
+    ``json.dumps(..., indent=2)`` lays it out at nesting ``indent``."""
+    if not entries:
+        return "[]"
+    inner = indent + "  "
+    return f"[\n{inner}" + f",\n{inner}".join(entries) + f"\n{indent}]"
 
 
 def rules_as_json(ruleset: RuleSet, db: TransactionDb, algorithm: str,
                   frequents: Sequence[FrequentItemset] | None) -> str:
-    labels = [item.label for item in db.dictionary]
+    """The report exactly as ``json.dumps(payload, indent=2)`` writes it,
+    built as text so that each distinct label list and support is encoded
+    once."""
+    labels = [json.dumps(item.label) for item in db.dictionary]
     n = ruleset.n_transactions
-    payload = {
-        "n_transactions": n,
-        "params": {
-            "min_support": fraction_object(ruleset.params.min_support),
-            "min_confidence": fraction_object(ruleset.params.min_confidence),
-            "algorithm": algorithm,
-        },
-        "rules": [
-            {
-                "antecedent": [labels[i] for i in rule.antecedent],
-                "consequent": [labels[i] for i in rule.consequent],
-                "support": ratio_object(rule.union_count, n),
-                "confidence": ratio_object(rule.union_count,
-                                           rule.antecedent_count),
-            }
-            for rule in ruleset
-        ],
-    }
+    deep = " " * 6
+    names = Memo(lambda ids: json_array([labels[i] for i in ids], deep))
+    supports = Memo(lambda union: json_ratio(union, n, deep))
+    rules = [f'{{\n{deep}"antecedent": {names[antecedent]},\n'
+             f'{deep}"consequent": {names[consequent]},\n'
+             f'{deep}"support": {supports[-neg_union]},\n'
+             f'{deep}"confidence": '
+             f'{json_ratio(-neg_union, antecedent_count, deep)}\n    }}'
+             for _, neg_union, antecedent, consequent, antecedent_count
+             in ruleset.rows]
+    support = ruleset.params.min_support
+    confidence = ruleset.params.min_confidence
+    params = (
+        f'{{\n    "min_support": '
+        f'{json_ratio(support.numerator, support.denominator, "    ")},\n'
+        f'    "min_confidence": '
+        f'{json_ratio(confidence.numerator, confidence.denominator, "    ")},\n'
+        f'    "algorithm": {json.dumps(algorithm)}\n  }}')
+    fields = [f'"n_transactions": {n}', f'"params": {params}',
+              f'"rules": {json_array(rules, "  ")}']
     if frequents is not None:
-        payload["itemsets"] = [
-            {
-                "items": [labels[i] for i in frequent.itemset],
-                "count": frequent.count,
-                "support": ratio_object(frequent.count, n),
-            }
-            for frequent in frequents
-        ]
-    return json.dumps(payload, indent=2) + "\n"
+        itemsets = [f'{{\n{deep}"items": {names[f.itemset]},\n'
+                    f'{deep}"count": {f.count},\n'
+                    f'{deep}"support": {supports[f.count]}\n    }}'
+                    for f in frequents]
+        fields.append(f'"itemsets": {json_array(itemsets, "  ")}')
+    return "{\n  " + ",\n  ".join(fields) + "\n}\n"
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
@@ -421,7 +456,7 @@ def bench_as_json(report: BenchmarkReport) -> str:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     if args.input is not None:
-        db = load_db(args.input, "basket")
+        db = load_db(args.input, args.format, skip_header=args.skip_header)
         dataset = f"{args.input} (N={db.n}, items={len(db.dictionary)})"
     else:
         config = generator_config(args)

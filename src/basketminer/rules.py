@@ -1,37 +1,51 @@
 """Association-rule generation and scoring from mined frequent itemsets.
 
-For every frequent itemset Z with at least two items, every non-empty
-proper subset X becomes an antecedent of the rule X -> Z \\ X. Support and
-confidence come straight from the counts already mined (no database
-rescan). Thresholds are tested by integer cross-multiplication of those
-counts; each emitted rule's scores are exact rationals, rendered as whole
-percents (rounded half away from zero) only at the presentation edge.
+Rules come from ap-genrules (Agrawal & Srikant, "Fast Algorithms for
+Mining Association Rules", VLDB 1994, section 3): for each frequent
+itemset Z, consequents Y grow level by level with an apriori-style join,
+and the rule Z \\ Y -> Y is scored from the counts already mined (no
+database rescan). Moving an item from the antecedent to the consequent
+can only lower confidence, so a consequent whose rule fails the
+confidence test is dropped and never grown further. Thresholds are tested
+by integer cross-multiplication of the counts. A ``RuleSet`` keeps its
+rules as flat integer rows in canonical order; exact rational scores, and
+whole percents (rounded half away from zero), appear only at the
+presentation edge.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core import (
     AssociationRule,
     DomainError,
     FrequentItemset,
     InternalConsistencyError,
+    ItemSet,
     MiningParams,
     TransactionDb,
 )
 
+# (-(u * N * N // a), -u, antecedent, consequent, a) for a rule with union
+# count u and antecedent count a: its canonical sort key, then a.
+RuleRow = tuple[int, int, ItemSet, ItemSet, int]
+
+
+def whole_percent(part: int, whole: int) -> int:
+    """The whole percent of ``part / whole`` (``whole > 0``), a half
+    rounded away from zero (4/7 -> 57)."""
+    if part >= 0:
+        return (200 * part + whole) // (2 * whole)
+    return -((whole - 200 * part) // (2 * whole))
+
 
 def percent(value: Fraction) -> int:
     """Whole-percent rendering, rounding half away from zero (4/7 -> 57)."""
-    scaled = Fraction(value) * 100
-    if scaled >= 0:
-        return math.floor(scaled + Fraction(1, 2))
-    return -math.floor(-scaled + Fraction(1, 2))
+    value = Fraction(value)
+    return whole_percent(value.numerator, value.denominator)
 
 
 def format_percent(value: Fraction) -> str:
@@ -43,74 +57,130 @@ class RuleSet:
     """Rules passing both thresholds, in canonical order.
 
     Canonical order: descending confidence, then descending support, then
-    lexicographic antecedent ids, then consequent ids.
+    lexicographic antecedent ids, then consequent ids. ``rows`` holds one
+    ``RuleRow`` per rule; iteration and ``rules`` build the
+    ``AssociationRule`` objects from the rows on demand.
     """
 
-    rules: tuple[AssociationRule, ...]
+    rows: tuple[RuleRow, ...]
     params: MiningParams
     n_transactions: int
 
-    def __len__(self) -> int:
-        return len(self.rules)
+    @property
+    def rules(self) -> tuple[AssociationRule, ...]:
+        return tuple(self)
 
-    def __iter__(self):
-        return iter(self.rules)
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self) -> Iterator[AssociationRule]:
+        n = self.n_transactions
+        for _, neg_union, antecedent, consequent, antecedent_count in self.rows:
+            yield AssociationRule(antecedent, consequent, -neg_union,
+                                  antecedent_count, n)
 
 
 def generate_rules(frequents: Sequence[FrequentItemset], db: TransactionDb,
                    params: MiningParams,
                    max_antecedent: int | None = None) -> RuleSet:
-    """Emit every X -> Z\\X split of the frequent itemsets Z whose count
+    """Emit every rule X -> Z\\X from the frequent itemsets Z whose count
     meets min_support and whose confidence meets min_confidence.
 
-    Both thresholds are tested on the integer counts: support against
+    Consequents of each Z grow by ap-genrules: level 1 holds the single
+    items of Z; a consequent of size m + 1 is the join of two passing
+    consequents of size m that share their first m - 1 items, and is kept
+    only if every one of its size-m subsets passed. A consequent whose
+    rule fails confidence is not grown, since a larger consequent has a
+    smaller antecedent, whose count can only be larger. Both thresholds
+    are tested on the integer counts: support against
     ``params.absolute_threshold(N)``, confidence by cross-multiplication.
-    Fractions appear only in the emitted rules' scores.
+    ``max_antecedent`` caps the antecedent size of the emitted rules
+    (None = no cap); consequents are grown regardless.
+
     ``frequents`` must be downward-closed, which the mining engines
-    guarantee; a missing subset count, or one below its itemset's count,
-    raises InternalConsistencyError. ``max_antecedent`` caps the
-    antecedent size (None = no cap). An empty database (N = 0) raises
-    DomainError.
+    guarantee. Each qualifying Z is checked once, before its rules: a
+    missing immediate subset, or one whose count is below Z's or above N,
+    raises InternalConsistencyError. Itemsets are visited smallest first,
+    so every smaller qualifying itemset has been checked already, and by
+    induction every subset of Z is present with a count in that range.
+    An empty database (N = 0) raises DomainError.
     """
     n = db.n
     if n == 0:
         raise DomainError("cannot generate rules from an empty transaction database")
-    counts = {f.itemset: f.count for f in frequents}
+    # Rows hold the mined itemset tuples rather than copies of them.
+    mined = {f.itemset: f for f in frequents}
     threshold = params.absolute_threshold(n)
     num, den = params.min_confidence.as_integer_ratio()
-    rules = []
-    for frequent in frequents:
-        z = frequent.itemset
-        union_count = frequent.count
-        if len(z) < 2 or union_count < threshold:
+    # Exact: two distinct confidences u/a with a <= N differ by at least
+    # 1/N^2, so floor(N^2 * u / a) keeps them apart; N is fixed, so
+    # descending support is descending u.
+    square = n * n
+    rows: list[RuleRow] = []
+    emit = rows.append
+    for frequent in sorted(mined.values(), key=lambda f: len(f.itemset)):
+        z, union_count = frequent.itemset, frequent.count
+        size = len(z)
+        if size < 2 or union_count < threshold:
             continue
-        max_size = len(z) - 1
-        if max_antecedent is not None:
-            max_size = min(max_size, max_antecedent)
-        for size in range(1, max_size + 1):
-            for antecedent in combinations(z, size):
-                antecedent_count = counts.get(antecedent)
-                if antecedent_count is None:
-                    raise InternalConsistencyError(
-                        f"antecedent {antecedent} of frequent itemset {z} "
-                        f"is missing from the mined counts")
-                if antecedent_count < union_count:
-                    raise InternalConsistencyError(
-                        f"antecedent {antecedent} has count {antecedent_count}, "
-                        f"below the count {union_count} of its superset {z}")
-                if union_count * den < num * antecedent_count:
-                    continue
-                chosen = set(antecedent)
-                consequent = tuple(i for i in z if i not in chosen)
-                rules.append(AssociationRule(
-                    antecedent=antecedent,
-                    consequent=consequent,
-                    union_count=union_count,
-                    antecedent_count=antecedent_count,
-                    n_transactions=n))
-    # Exact: two distinct confidences u/a with a <= N (AssociationRule
-    # checks it) differ by at least 1/N^2, so floor(N^2 * u / a) keeps them
-    # apart; N is fixed, so descending support is descending u.
-    rules.sort(key=lambda r: (-(r.union_count * n * n // r.antecedent_count),
-                              -r.union_count, r.antecedent, r.consequent))
-    return RuleSet(tuple(rules), params, n)
+        scaled = union_count * square
+        neg_union = -union_count
+        bound = union_count * den
+        smallest = 1 if max_antecedent is None else size - max_antecedent
+        # subsets[i] is the mined entry of Z without its item i.
+        subsets = []
+        for index in range(size):
+            subset = z[:index] + z[index + 1:]
+            entry = mined.get(subset)
+            if entry is None:
+                raise InternalConsistencyError(
+                    f"subset {subset} of frequent itemset {z} "
+                    f"is missing from the mined counts")
+            if not union_count <= entry.count <= n:
+                raise InternalConsistencyError(
+                    f"subset {subset} has count {entry.count}, outside the "
+                    f"range from the count {union_count} of its superset "
+                    f"{z} to the {n} transactions")
+            subsets.append(entry)
+        # The passing consequents of one size, each with its antecedent,
+        # in lexicographic consequent order.
+        level = []
+        for index, entry in enumerate(subsets):
+            antecedent, antecedent_count = entry.itemset, entry.count
+            if bound >= num * antecedent_count:
+                consequent = mined[(z[index],)].itemset
+                level.append((consequent, antecedent))
+                if smallest <= 1:
+                    emit((-(scaled // antecedent_count), neg_union,
+                          antecedent, consequent, antecedent_count))
+        width = 1
+        while len(level) > 1 and width + 1 < size:
+            passed = {consequent for consequent, _ in level}
+            grown = []
+            for first, (head, antecedent) in enumerate(level):
+                prefix = head[:-1]
+                for other, _ in level[first + 1:]:
+                    if other[:-1] != prefix:
+                        break
+                    item = other[-1]
+                    consequent = head + (item,)
+                    # The two parents passed; check the other subsets.
+                    if width > 1 and any(
+                            consequent[:skip] + consequent[skip + 1:]
+                            not in passed for skip in range(width - 1)):
+                        continue
+                    cut = antecedent.index(item)
+                    smaller = antecedent[:cut] + antecedent[cut + 1:]
+                    entry = mined[smaller]
+                    smaller, antecedent_count = entry.itemset, entry.count
+                    if bound < num * antecedent_count:
+                        continue
+                    consequent = mined[consequent].itemset
+                    grown.append((consequent, smaller))
+                    if smallest <= width + 1:
+                        emit((-(scaled // antecedent_count), neg_union,
+                              smaller, consequent, antecedent_count))
+            level = grown
+            width += 1
+    rows.sort()
+    return RuleSet(tuple(rows), params, n)

@@ -3,6 +3,7 @@ expectations exactly and enforcing the stated runtime budgets."""
 
 import gc
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from time import perf_counter
@@ -229,15 +230,19 @@ def test_criterion_6_generator_calibration():
     print(f"criterion 6 PASS: planted 0.5 pattern measured at {measured:.4f}")
 
 
-def test_dense_data_engines_agree_within_time_bound():
+def dense_db():
     # Eight overlapping 5-item patterns over item_1..item_60, labels apart
     # from the item_0001-style padding universe; itemsets reach size 8.
     patterns = tuple(
         (tuple(f"item_{(3 * k + j) % 60 + 1}" for j in range(5)), 0.15)
         for k in range(8))
-    db = generate_db(GeneratorConfig(
+    return generate_db(GeneratorConfig(
         num_transactions=10_000, universe_size=100, basket_size_range=(5, 15),
         patterns=patterns, seed=3))
+
+
+def test_dense_data_engines_agree_within_time_bound():
+    db = dense_db()
     params = MiningParams(Fraction(3, 100), 1)
     results = {}
     for engine in (apriori_mine, fpgrowth_mine):
@@ -254,3 +259,35 @@ def test_dense_data_engines_agree_within_time_bound():
     assert len(from_apriori) == 4071
     assert max(len(f.itemset) for f in from_apriori) == 8
     print("dense gate PASS: Apriori and FP-Growth agree on 4071 itemsets")
+
+
+def test_dense_rules_within_time_and_memory_bounds():
+    db = dense_db()
+    params = MiningParams(Fraction(1, 40), Fraction(3, 5))
+    frequents = fpgrowth_mine(db, params)
+    gc.collect()
+    started = perf_counter()
+    ruleset = generate_rules(frequents, db, params)
+    text = cli.rules_as_csv(ruleset, db, None)
+    elapsed = perf_counter() - started
+    assert len(ruleset) == 154_168
+    assert text.count("\n") == 154_169
+    assert elapsed < 2.5, f"rules and CSV took {elapsed:.2f}s"
+    del ruleset, text
+
+    # tracemalloc slows allocation-heavy code by an order of magnitude, so
+    # the peak is taken on a smaller cut of the same data.
+    params = MiningParams(Fraction(3, 100), Fraction(4, 5))
+    frequents = fpgrowth_mine(db, params)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ruleset = generate_rules(frequents, db, params)
+        text = cli.rules_as_csv(ruleset, db, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ruleset) == 29_502
+    assert peak < 17 * 2**20, f"rules and CSV peaked at {peak / 2**20:.1f} MiB"
+    print(f"dense rules gate PASS: 154,168 rules and CSV in {elapsed:.2f}s; "
+          f"29,502 rules and CSV peaked at {peak / 2**20:.1f} MiB")

@@ -9,12 +9,20 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import basketminer
 import basketminer.bench as bench_module
 from basketminer import cli
-from basketminer.core import FrequentItemset
-from basketminer.rules import format_percent
+from basketminer.core import (
+    FrequentItemset,
+    ItemDictionary,
+    MiningParams,
+    TransactionDb,
+)
+from basketminer.oracle import brute_force_mine
+from basketminer.rules import format_percent, generate_rules
 
 GOLDEN_TABLE = (
     "People who bought this item | Also bought the following items | Support | Confidence\n"
@@ -209,6 +217,161 @@ class TestRatioFormatting:
                 format_percent(Fraction(part, whole))
 
 
+def reference_table(ruleset, db, frequents):
+    """The table built from ``AssociationRule`` objects, cell by cell."""
+    label = db.dictionary.label_of
+
+    def table(columns, rows):
+        widths = [len(column) for column in columns]
+        for row in rows:
+            widths = [max(width, len(cell)) for width, cell in zip(widths, row)]
+        lines = [" | ".join(cell.ljust(width) for cell, width
+                            in zip(row, widths)).rstrip()
+                 for row in [columns, *rows]]
+        lines.insert(1, "-+-".join("-" * width for width in widths))
+        return "\n".join(lines) + "\n"
+
+    out = table(cli.RULE_TABLE_HEADER, [
+        (", ".join(map(label, r.antecedent)), ", ".join(map(label, r.consequent)),
+         format_percent(r.support), format_percent(r.confidence))
+        for r in ruleset])
+    if frequents is not None:
+        n = ruleset.n_transactions
+        out += (f"\nFrequent itemsets (count >= "
+                f"{ruleset.params.absolute_threshold(n)} of {n}):\n")
+        out += table(("Itemset", "Count", "Support"), [
+            (", ".join(map(label, f.itemset)), str(f.count), f"{f.count}/{n}")
+            for f in frequents])
+    return out
+
+
+def reference_csv(ruleset, db, frequents):
+    """The CSV report as ``csv.writer`` writes it from ``AssociationRule``s."""
+    label = db.dictionary.label_of
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["antecedent", "consequent", "support", "confidence"])
+    writer.writerows([";".join(map(label, r.antecedent)),
+                      ";".join(map(label, r.consequent)),
+                      str(r.support), str(r.confidence)] for r in ruleset)
+    if frequents is not None:
+        writer.writerow([])
+        writer.writerow(["itemset", "count", "support"])
+        writer.writerows([";".join(map(label, f.itemset)), f.count,
+                          str(Fraction(f.count, ruleset.n_transactions))]
+                         for f in frequents)
+    return buffer.getvalue()
+
+
+def reference_json(ruleset, db, algorithm, frequents):
+    """The JSON report as ``json.dumps(indent=2)`` writes it from
+    ``AssociationRule``s."""
+    labels = db.dictionary.labels
+
+    def fraction(value):
+        value = Fraction(value)
+        return {"num": value.numerator, "den": value.denominator,
+                "decimal": float(value)}
+
+    payload = {
+        "n_transactions": ruleset.n_transactions,
+        "params": {"min_support": fraction(ruleset.params.min_support),
+                   "min_confidence": fraction(ruleset.params.min_confidence),
+                   "algorithm": algorithm},
+        "rules": [{"antecedent": list(labels(r.antecedent)),
+                   "consequent": list(labels(r.consequent)),
+                   "support": fraction(r.support),
+                   "confidence": fraction(r.confidence)} for r in ruleset],
+    }
+    if frequents is not None:
+        payload["itemsets"] = [
+            {"items": list(labels(f.itemset)), "count": f.count,
+             "support": fraction(Fraction(f.count, ruleset.n_transactions))}
+            for f in frequents]
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def render_all(ruleset, db, frequents):
+    return (cli.rules_as_table(ruleset, db, frequents),
+            cli.rules_as_csv(ruleset, db, frequents),
+            cli.rules_as_json(ruleset, db, "fpgrowth", frequents))
+
+
+def reference_all(ruleset, db, frequents):
+    return (reference_table(ruleset, db, frequents),
+            reference_csv(ruleset, db, frequents),
+            reference_json(ruleset, db, "fpgrowth", frequents))
+
+
+QUOTED_BASKETS = (
+    'say "hi", a;b, plain\n'
+    'say "hi", a;b\n'
+    'a;b, plain, x y\n'
+    'say "hi", plain, a;b\n')
+
+
+class TestRenderers:
+    @pytest.mark.parametrize("show_itemsets", [False, True])
+    def test_csv_quotes_labels_as_csv_writer_does(self, capsys, tmp_path,
+                                                  show_itemsets):
+        path = tmp_path / "quoted.basket"
+        path.write_text(QUOTED_BASKETS, encoding="utf-8")
+        argv = ["mine", "--input", str(path), "--min-support", "1/2",
+                "--min-confidence", "1/2", "--output", "csv"]
+        code, out, _ = run_cli(
+            capsys, argv + ["--show-itemsets"] * show_itemsets)
+        assert code == 0
+        db = cli.load_db(str(path), "basket")
+        params = MiningParams(Fraction(1, 2), Fraction(1, 2))
+        frequents = cli.fpgrowth_mine(db, params)
+        ruleset = generate_rules(frequents, db, params)
+        assert len(ruleset) > 0
+        assert out == reference_csv(ruleset, db,
+                                    frequents if show_itemsets else None)
+        assert '"say ""hi"""' in out and "a;b" in out
+
+    @pytest.mark.parametrize("output", ["table", "json"])
+    @pytest.mark.parametrize("show_itemsets", [False, True])
+    def test_grocery_table_and_json_unchanged(self, capsys, basket_path,
+                                              grocery_db, output,
+                                              show_itemsets):
+        code, out, _ = run_cli(capsys, [
+            "mine", "--input", str(basket_path), "--min-support", "3/7",
+            "--min-confidence", "1/2", "--output", output]
+            + ["--show-itemsets"] * show_itemsets)
+        assert code == 0
+        params = MiningParams(Fraction(3, 7), Fraction(1, 2))
+        frequents = brute_force_mine(grocery_db, params)
+        ruleset = generate_rules(frequents, grocery_db, params)
+        shown = frequents if show_itemsets else None
+        expected = (reference_table(ruleset, grocery_db, shown)
+                    if output == "table" else
+                    reference_json(ruleset, grocery_db, "fpgrowth", shown))
+        assert out == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(labels=st.lists(
+               st.text(st.sampled_from(',";\r\n\\ xé\u2028') | st.characters(),
+                       min_size=1, max_size=6).map(str.strip).filter(bool),
+               min_size=2, max_size=6, unique=True),
+           data=st.data())
+    def test_every_renderer_matches_its_reference(self, labels, data):
+        dictionary = ItemDictionary()
+        for label in labels:
+            dictionary.intern(label)
+        ids = st.integers(0, len(labels) - 1)
+        baskets = data.draw(st.lists(st.frozensets(ids, min_size=1),
+                                     min_size=1, max_size=12))
+        db = TransactionDb(tuple(tuple(sorted(b)) for b in baskets),
+                           dictionary)
+        params = MiningParams(Fraction(1, db.n), Fraction(1, 3))
+        frequents = brute_force_mine(db, params)
+        ruleset = generate_rules(frequents, db, params)
+        for shown in (None, frequents):
+            assert render_all(ruleset, db, shown) == \
+                reference_all(ruleset, db, shown)
+
+
 class TestGen:
     def test_writes_to_stdout_by_default(self, capsys):
         code, out, err = run_cli(capsys, [
@@ -298,6 +461,21 @@ class TestBench:
         assert out.splitlines()[0].startswith("dataset: ")
         assert str(basket_path) in out
         assert "algorithm" in out
+
+    def test_tidpairs_input_matches_basket(self, capsys, basket_path,
+                                           pairs_path):
+        argv = ["bench", "--thresholds", "3/7,4/7", "--repeat", "1",
+                "--output", "json", "--input"]
+        code, out, _ = run_cli(capsys, argv + [
+            str(pairs_path), "--format", "tidpairs", "--skip-header"])
+        assert code == 0
+        from_pairs = json.loads(out)
+        assert "(N=7, items=4)" in from_pairs["dataset"]
+        _, out, _ = run_cli(capsys, argv + [str(basket_path)])
+        from_basket = json.loads(out)
+        assert [run["frequent_itemsets"] for run in from_pairs["runs"]] == \
+            [run["frequent_itemsets"] for run in from_basket["runs"]] == \
+            [7, 7, 4, 4]
 
     def test_disagreement_exits_5(self, capsys, monkeypatch, basket_path):
         def broken(db, params):

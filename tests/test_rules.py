@@ -4,6 +4,8 @@ from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from basketminer.core import (
     DomainError,
@@ -97,6 +99,13 @@ class TestGenerateRules:
         with pytest.raises(InternalConsistencyError):
             generate_rules(broken, grocery_db, params)
 
+    def test_missing_first_item_of_pair_is_inconsistency(self, grocery_db):
+        # The rule (2,) -> (1,) passes confidence before (1,) is looked up.
+        broken = [FrequentItemset((2,), 6), FrequentItemset((1, 2), 4)]
+        params = MiningParams(Fraction(3, 7), Fraction(1, 2))
+        with pytest.raises(InternalConsistencyError):
+            generate_rules(broken, grocery_db, params)
+
     def test_subset_count_below_itemset_is_inconsistency(self, grocery_db):
         broken = [FrequentItemset((1,), 3), FrequentItemset((2,), 5),
                   FrequentItemset((1, 2), 4)]
@@ -113,6 +122,13 @@ class TestGenerateRules:
                           if len(f.itemset) > 1 and f.count >= 3}
         # Wheat-Pulses has count 4, Sugar-Pulses and Pulses-Rice exactly 3.
         assert unions == {(1, 2), (0, 2), (2, 3)}
+
+    def test_subset_count_above_n_is_inconsistency(self, grocery_db):
+        broken = [FrequentItemset((1,), 8), FrequentItemset((2,), 6),
+                  FrequentItemset((1, 2), 4)]
+        params = MiningParams(Fraction(3, 7), Fraction(1, 2))
+        with pytest.raises(InternalConsistencyError):
+            generate_rules(broken, grocery_db, params)
 
     def test_empty_database_is_domain_error(self):
         empty = db_from_ids([], 2)
@@ -196,3 +212,40 @@ class TestGenerateRules:
             keys = [(-r.confidence, -r.support, r.antecedent, r.consequent)
                     for r in ruleset]
             assert keys == sorted(keys)
+
+
+@st.composite
+def rule_inputs(draw):
+    n_items = draw(st.integers(2, 7))
+    baskets = draw(st.lists(
+        st.lists(st.integers(0, n_items - 1), min_size=1, max_size=n_items),
+        min_size=1, max_size=24))
+    db = db_from_ids(baskets, n_items)
+    threshold = draw(st.integers(1, db.n))
+    confidence = draw(st.fractions(Fraction(1, 20), 1))
+    return db, MiningParams(Fraction(threshold, db.n), confidence)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rule_inputs())
+def test_matches_exhaustive_splits_under_every_antecedent_cap(case):
+    db, params = case
+    frequents = brute_force_mine(db, params)
+    counts = {f.itemset: f.count for f in frequents}
+    widest = max((len(z) for z in counts), default=1)
+    for cap in [None, *range(1, widest)]:
+        expected = []
+        for z, union_count in counts.items():
+            for size in range(1, len(z)):
+                if cap is not None and size > cap:
+                    continue
+                for x in combinations(z, size):
+                    confidence = Fraction(union_count, counts[x])
+                    if confidence >= params.min_confidence:
+                        y = tuple(i for i in z if i not in x)
+                        expected.append((-confidence,
+                                         -Fraction(union_count, db.n), x, y))
+        expected.sort()
+        ruleset = generate_rules(frequents, db, params, max_antecedent=cap)
+        assert [(-r.confidence, -r.support, r.antecedent, r.consequent)
+                for r in ruleset] == expected
