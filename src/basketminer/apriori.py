@@ -103,17 +103,6 @@ def _count(covers: dict[int, int], candidate_set: CandidateSet,
     return result
 
 
-def count_level(db: TransactionDb, candidate_set: CandidateSet,
-                threshold: int) -> list[FrequentItemset]:
-    """Count candidates by intersecting the covers of the items they use;
-    keep those meeting ``threshold``, in candidate order."""
-    if not candidate_set.candidates:
-        return []
-    items = {item for candidate in candidate_set.candidates
-             for item in candidate}
-    return _count(_covers(db, items), candidate_set, threshold)
-
-
 def mine_levels(db: TransactionDb, singletons: Sequence[FrequentItemset],
                 threshold: int, max_itemset_size: int | None = None,
                 ) -> tuple[list[FrequentItemset], int]:

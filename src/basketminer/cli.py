@@ -30,6 +30,7 @@ from .core import (
     filter_min_items,
     ingest_basket,
     ingest_tid_pairs,
+    read_lines,
     to_basket_text,
 )
 from .fpgrowth import mine as fpgrowth_mine
@@ -209,15 +210,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def load_db(path_text: str, file_format: str, skip_header: bool = False,
             min_items: int | None = None) -> TransactionDb:
+    """Ingest the file at ``path_text``, streamed through ``read_lines``.
+
+    A file that cannot be opened or read, or that is not UTF-8, raises
+    ``IngestionError("cannot read ...")``; a line that fails to parse
+    before the first undecodable byte is reported instead.
+    """
     try:
-        text = Path(path_text).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+        handle = open(path_text, "rb")
+    except OSError as exc:
         raise IngestionError(f"cannot read {path_text}: {exc}") from exc
-    lines = text.splitlines()
-    if file_format == "tidpairs":
-        db = ingest_tid_pairs(lines, skip_header=skip_header)
-    else:
-        db = ingest_basket(lines)
+    with handle:
+        lines = read_lines(handle)
+        try:
+            if file_format == "tidpairs":
+                db = ingest_tid_pairs(lines, skip_header=skip_header)
+            else:
+                db = ingest_basket(lines)
+        except (OSError, UnicodeError) as exc:
+            raise IngestionError(f"cannot read {path_text}: {exc}") from exc
     if min_items is not None:
         db = filter_min_items(db, min_items)
     return db

@@ -10,18 +10,28 @@ Two ingestion formats are supported:
   and blank lines ignored, no quoting (labels cannot contain commas);
 * tid-pairs: CSV rows of exactly ``tid,item_label``, grouped by tid.
 
+Ingestion takes any iterable of lines. ``read_lines`` streams them from a
+UTF-8 file in fixed-size chunks, split as ``str.splitlines`` splits, so a
+file is never held whole. Both parsers keep a dict from each raw field to
+its item id in front of ``ItemDictionary.intern``, so only a field not seen
+before is trimmed and interned, and they build the ``TransactionDb``
+through a constructor that skips the validation their own canonical
+output cannot fail.
+
 All thresholds and scores are exact rationals (``fractions.Fraction``),
 never floats, so results are bit-reproducible across engines and runs.
 """
 
 from __future__ import annotations
 
+import codecs
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 ItemSet = tuple[int, ...]
 
@@ -151,6 +161,17 @@ class TransactionDb:
             if t and (t[0] < 0 or t[-1] >= n_items):
                 raise DomainError(f"transaction {t} references an unknown item id")
 
+    @classmethod
+    def _trusted(cls, transactions: tuple[ItemSet, ...],
+                 dictionary: ItemDictionary) -> TransactionDb:
+        """Build without ``__post_init__``'s check, for callers whose
+        transactions are canonical and drawn from ``dictionary`` by
+        construction."""
+        db = cls.__new__(cls)
+        object.__setattr__(db, "transactions", transactions)
+        object.__setattr__(db, "dictionary", dictionary)
+        return db
+
     @property
     def n(self) -> int:
         """Number of transactions."""
@@ -274,20 +295,80 @@ def support_count(db: TransactionDb, ids: Iterable[int]) -> int:
     return sum(1 for t in db.transaction_sets if needed <= t)
 
 
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE_BREAK = re.compile(f"[{_LINE_BREAKS}]")
+
+
+def read_lines(stream: BinaryIO, chunk_size: int = 1 << 16) -> Iterator[str]:
+    """Yield the lines of the UTF-8 byte ``stream`` exactly as
+    ``text.splitlines()`` splits its whole decoded text.
+
+    The stream is read ``chunk_size`` bytes at a time, so memory stays at
+    one chunk plus the longest line. The last line of each chunk is carried
+    into the next, with its break if it has one, so a line, a ``\\r\\n`` or
+    a multi-byte character split between chunks is read whole; a line is
+    split once, however many chunks it spans. Bytes that are not UTF-8
+    raise ``UnicodeError``, worded as decoding the whole stream at once
+    would word it; every line that ends before them is yielded first.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    carry: list[str] = []  # the unfinished last line, a piece per chunk
+    decoded = 0  # bytes given to the decoder before this chunk
+    while True:
+        chunk = stream.read(chunk_size)
+        pending = len(decoder.getstate()[0])
+        try:
+            carry.append(decoder.decode(chunk, final=not chunk))
+        except UnicodeDecodeError as exc:
+            good = exc.object[:exc.start].decode("utf-8")
+            # The sentinel ends the unfinished line that holds the bad bytes.
+            yield from ("".join(carry) + good + "\0").splitlines()[:-1]
+            raise _decode_error(exc, decoded - pending) from None
+        decoded += len(chunk)
+        if chunk and not _LINE_BREAK.search(carry[-1]):
+            continue
+        text = "".join(carry)
+        lines = text.splitlines()
+        if not chunk:
+            yield from lines
+            return
+        carry = []
+        if lines:
+            last = lines.pop()
+            if text[-1] in _LINE_BREAKS:
+                last += text[-1]
+            carry.append(last)
+        yield from lines
+
+
+def _decode_error(exc: UnicodeDecodeError, offset: int) -> UnicodeError:
+    """``exc`` as ``str(UnicodeDecodeError)`` words it, with its positions
+    moved on by ``offset`` bytes."""
+    start = offset + exc.start
+    if exc.end == exc.start + 1:
+        where = f"byte 0x{exc.object[exc.start]:02x} in position {start}"
+    else:
+        where = f"bytes in position {start}-{offset + exc.end - 1}"
+    return UnicodeError(
+        f"'{exc.encoding}' codec can't decode {where}: {exc.reason}")
+
+
 def _is_comment_or_blank(line: str) -> bool:
     stripped = line.strip()
     return not stripped or stripped.startswith("#")
 
 
-def _parse_items(fields: Iterable[str], dictionary: ItemDictionary,
-                 line_number: int) -> ItemSet:
-    ids = set()
-    for field in fields:
-        try:
-            ids.add(dictionary.intern(field).id)
-        except ValueError:
-            raise IngestionError("empty item label", line_number) from None
-    return tuple(sorted(ids))
+def _item_id(field: str, ids: dict[str, int], dictionary: ItemDictionary,
+             line_number: int) -> int:
+    """The id of the raw ``field``; a field not seen before is trimmed,
+    interned and cached in ``ids``."""
+    item = ids.get(field)
+    if item is None:
+        label = field.strip()
+        if not label:
+            raise IngestionError("empty item label", line_number)
+        item = ids[field] = dictionary.intern(label).id
+    return item
 
 
 def ingest_basket(lines: Iterable[str]) -> TransactionDb:
@@ -298,14 +379,25 @@ def ingest_basket(lines: Iterable[str]) -> TransactionDb:
     membership (presence, not quantity).
     """
     dictionary = ItemDictionary()
+    ids: dict[str, int] = {}
+    known = ids.__getitem__
     transactions: list[ItemSet] = []
     for line_number, raw in enumerate(lines, start=1):
-        if _is_comment_or_blank(raw):
+        # Every line is tested: a field seen before may still open a
+        # comment, as "#b" does after the line "a,#b".
+        stripped = raw.strip()
+        if not stripped or stripped[0] == "#":
             continue
-        transactions.append(_parse_items(raw.split(","), dictionary, line_number))
+        fields = raw.split(",")
+        try:
+            items = set(map(known, fields))
+        except KeyError:
+            items = {_item_id(field, ids, dictionary, line_number)
+                     for field in fields}
+        transactions.append(tuple(sorted(items)))
     if not transactions:
         raise EmptyInputError("input contains no transactions")
-    return TransactionDb(tuple(transactions), dictionary)
+    return TransactionDb._trusted(tuple(transactions), dictionary)
 
 
 def ingest_tid_pairs(lines: Iterable[str], skip_header: bool = False) -> TransactionDb:
@@ -316,13 +408,25 @@ def ingest_tid_pairs(lines: Iterable[str], skip_header: bool = False) -> Transac
     (tid, item) rows collapse to a single membership.
     """
     dictionary = ItemDictionary()
-    groups: dict[str, set[int]] = {}
+    ids: dict[str, int] = {}
+    groups: dict[str, list[int]] = {}  # trimmed tid -> its item ids
+    by_raw_tid: dict[str, list[int]] = {}  # raw tid field -> its group
     for line_number, raw in enumerate(lines, start=1):
+        parts = raw.split(",")
+        if len(parts) == 2:
+            group = by_raw_tid.get(parts[0])
+            if group is not None:
+                # This raw tid opened an accepted row before, so this row
+                # is no comment and its tid is valid.
+                try:
+                    group.append(ids[parts[1]])
+                except KeyError:
+                    group.append(_item_id(parts[1], ids, dictionary, line_number))
+                continue
         if skip_header and line_number == 1:
             continue
         if _is_comment_or_blank(raw):
             continue
-        parts = raw.split(",")
         if len(parts) != 2:
             raise IngestionError(
                 f"expected exactly 2 fields 'tid,item_label', got {len(parts)}",
@@ -330,15 +434,16 @@ def ingest_tid_pairs(lines: Iterable[str], skip_header: bool = False) -> Transac
         tid = parts[0].strip()
         if not tid:
             raise IngestionError("empty transaction id", line_number)
-        try:
-            item = dictionary.intern(parts[1])
-        except ValueError:
-            raise IngestionError("empty item label", line_number) from None
-        groups.setdefault(tid, set()).add(item.id)
+        item = _item_id(parts[1], ids, dictionary, line_number)
+        group = groups.get(tid)
+        if group is None:
+            group = groups[tid] = []
+        by_raw_tid[parts[0]] = group
+        group.append(item)
     if not groups:
         raise EmptyInputError("input contains no transactions")
-    transactions = tuple(tuple(sorted(ids)) for ids in groups.values())
-    return TransactionDb(transactions, dictionary)
+    transactions = tuple(tuple(sorted(set(group))) for group in groups.values())
+    return TransactionDb._trusted(transactions, dictionary)
 
 
 def to_basket_lines(db: TransactionDb) -> list[str]:
@@ -367,4 +472,4 @@ def filter_min_items(db: TransactionDb, min_items: int) -> TransactionDb:
     for t in kept:
         ids = [dictionary.intern(db.dictionary.label_of(i)).id for i in t]
         transactions.append(tuple(sorted(ids)))
-    return TransactionDb(tuple(transactions), dictionary)
+    return TransactionDb._trusted(tuple(transactions), dictionary)

@@ -2,18 +2,26 @@
 expectations exactly and enforcing the stated runtime budgets."""
 
 import gc
+import io
 import random
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from time import perf_counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from basketminer import cli
 from basketminer.apriori import apriori_mine
-from basketminer.core import MiningParams, ingest_basket, support_count, to_basket_text
+from basketminer.core import (
+    MiningParams,
+    ingest_basket,
+    read_lines,
+    support_count,
+    to_basket_text,
+)
 from basketminer.fpgrowth import build_fp_tree, fp_growth_mine
 from basketminer.fpgrowth import mine as fpgrowth_mine
 from basketminer.oracle import GeneratorConfig, brute_force_mine, generate_db
@@ -291,3 +299,87 @@ def test_dense_rules_within_time_and_memory_bounds():
     assert peak < 17 * 2**20, f"rules and CSV peaked at {peak / 2**20:.1f} MiB"
     print(f"dense rules gate PASS: 154,168 rules and CSV in {elapsed:.2f}s; "
           f"29,502 rules and CSV peaked at {peak / 2**20:.1f} MiB")
+
+
+def load_within_bounds(path, file_format, repeat):
+    """``cli.load_db`` on ``path``: the db, the best wall time of
+    ``repeat`` loads, and the tracemalloc peak of one more."""
+    best = float("inf")
+    for _ in range(repeat):
+        gc.collect()
+        started = perf_counter()
+        db = cli.load_db(str(path), file_format)
+        best = min(best, perf_counter() - started)
+        del db
+    gc.collect()
+    tracemalloc.start()
+    try:
+        db = cli.load_db(str(path), file_format)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return db, best, peak
+
+
+def test_hostile_wide_basket_within_bounds(tmp_path):
+    # One 89 KB line: longer than a read chunk, and 10^4 fields to intern.
+    path = tmp_path / "wide.basket"
+    path.write_text(",".join(f"item{k}" for k in range(10_000)) + "\n",
+                    encoding="utf-8")
+    db, elapsed, peak = load_within_bounds(path, "basket", 3)
+    assert db.transactions == (tuple(range(10_000)),)
+    assert elapsed < 0.05, f"ingest took {elapsed:.3f}s"
+    assert peak < 3.5 * 2**20, f"ingest peaked at {peak / 2**20:.1f} MiB"
+    print(f"wide basket gate PASS: {elapsed:.3f}s, {peak / 2**20:.1f} MiB")
+
+
+def test_hostile_single_tid_within_bounds(tmp_path):
+    path = tmp_path / "one-tid.csv"
+    path.write_text("".join(f"7,item{k % 1000}\n" for k in range(100_000)),
+                    encoding="utf-8")
+    db, elapsed, peak = load_within_bounds(path, "tidpairs", 3)
+    assert db.transactions == (tuple(range(1000)),)
+    assert elapsed < 0.05, f"ingest took {elapsed:.3f}s"
+    assert peak < 4 * 2**20, f"ingest peaked at {peak / 2**20:.1f} MiB"
+    print(f"single tid gate PASS: {elapsed:.3f}s, {peak / 2**20:.1f} MiB")
+
+
+def test_hostile_long_line_reads_in_linear_time():
+    # 16 MiB with no line break spans 256 read chunks; splitting what has
+    # been carried again at each chunk would take over a second.
+    stream = io.BytesIO(b"x" * (16 << 20) + b"\ny")
+    started = perf_counter()
+    lengths = [len(line) for line in read_lines(stream)]
+    elapsed = perf_counter() - started
+    assert lengths == [16 << 20, 1]
+    assert elapsed < 0.5, f"reading took {elapsed:.2f}s"
+    print(f"long line gate PASS: 16 MiB line read in {elapsed:.3f}s")
+
+
+@pytest.fixture(scope="module")
+def million_lines():
+    """10^6 one-item baskets over 1000 labels (7.9 MB)."""
+    return "".join(f"item{k % 1000}\n" for k in range(1_000_000))
+
+
+def test_hostile_million_one_item_lines_within_bounds(tmp_path, million_lines):
+    path = tmp_path / "million.basket"
+    path.write_text(million_lines, encoding="utf-8")
+    db, elapsed, peak = load_within_bounds(path, "basket", 2)
+    assert db.n == 1_000_000 and len(db.dictionary) == 1000
+    assert db.transactions[999_999] == (999,)
+    # About 56 MiB of the peak is the 10^6 result tuples themselves.
+    assert elapsed < 1.0, f"ingest took {elapsed:.2f}s"
+    assert peak < 90 * 2**20, f"ingest peaked at {peak / 2**20:.1f} MiB"
+    print(f"million lines gate PASS: {elapsed:.2f}s, {peak / 2**20:.1f} MiB")
+
+
+def test_hostile_million_lines_then_empty_label_exits_3(capsys, tmp_path,
+                                                        million_lines):
+    path = tmp_path / "million-bad.basket"
+    path.write_text(million_lines + "a,,b\n", encoding="utf-8")
+    code = cli.main(["mine", "--input", str(path), "--min-support", "1/2",
+                     "--min-confidence", "1/2"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == "error: line 1000001: empty item label\n"

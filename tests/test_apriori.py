@@ -10,7 +10,6 @@ from basketminer.apriori import (
     CandidateSet,
     apriori_mine,
     candidate_gen,
-    count_level,
     frequent_singletons,
     mine_levels,
 )
@@ -104,19 +103,27 @@ class TestCandidateGen:
 
 
 class TestCountLevel:
+    """Support counting of each candidate level, through ``mine_levels``."""
+
+    @staticmethod
+    def level(db, k, threshold):
+        """The frequent k-itemsets that ``mine_levels`` counts."""
+        result, _ = mine_levels(db, frequent_singletons(db, threshold),
+                                threshold, max_itemset_size=k)
+        return [f for f in result if len(f.itemset) == k]
+
     def test_counts_match_direct_support(self, grocery_db):
-        candidates = CandidateSet(2, ((0, 1), (0, 2), (1, 2), (2, 3)))
-        result = count_level(grocery_db, candidates, 1)
+        result = self.level(grocery_db, 2, 1)
+        assert result
         for frequent in result:
             assert frequent.count == support_count(grocery_db, frequent.itemset)
 
     def test_threshold_filters(self, grocery_db):
-        candidates = CandidateSet(2, ((0, 1), (1, 2)))
-        result = count_level(grocery_db, candidates, 3)
+        result = self.level(grocery_db, 2, 4)
         assert [(f.itemset, f.count) for f in result] == [((1, 2), 4)]
 
     def test_no_candidates_short_circuits(self, grocery_db):
-        assert count_level(grocery_db, CandidateSet(2, ()), 1) == []
+        assert mine_levels(grocery_db, [], 1) == ([], 0)
 
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65])
@@ -131,7 +138,7 @@ class TestCountLevel:
             transactions.append(range(6))
         db = db_from_ids(transactions, 7)
         candidates = tuple(combinations(range(7), k))
-        result = count_level(db, CandidateSet(k, candidates), 1)
+        result = self.level(db, k, 1)
         expected = [(c, support_count(db, c)) for c in candidates
                     if support_count(db, c) >= 1]
         assert [(f.itemset, f.count) for f in result] == expected

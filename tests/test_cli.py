@@ -1,10 +1,12 @@
 import csv
+import gc
 import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -193,6 +195,53 @@ class TestMine:
         _, first, _ = run_cli(capsys, argv)
         _, second, _ = run_cli(capsys, argv)
         assert first == second
+
+
+class TestStreamedInput:
+    @pytest.mark.parametrize("fixture, flags", [
+        ("basket_path", []),
+        ("pairs_path", ["--format", "tidpairs", "--skip-header"])],
+        ids=["basket", "tidpairs"])
+    def test_line_endings_give_identical_stdout(self, capsys, tmp_path,
+                                                request, fixture, flags):
+        text = request.getfixturevalue(fixture).read_text(encoding="utf-8")
+        outs = []
+        for name, newline in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
+            path = tmp_path / name
+            path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+            code, out, _ = run_cli(capsys, [
+                "mine", "--input", str(path), "--min-support", "2/7",
+                "--min-confidence", "1/2", "--output", "csv",
+                "--show-itemsets"] + flags)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] and outs[0] == outs[1] == outs[2]
+
+    @pytest.mark.parametrize("file_format, data, message", [
+        ("basket", b"apple,bread\n" * 10_000 + b"b,\xff\n", None),
+        ("basket", b"a,b\na,,b\n\xff\n", "line 2: empty item label"),
+        ("basket", b"\xff\na,,b\n", None),
+        ("basket", b"# only a comment\n", "input contains no transactions"),
+        ("tidpairs", b"1,a\n1,a,b\n",
+         "line 2: expected exactly 2 fields 'tid,item_label', got 3"),
+    ], ids=["undecodable-after-10k-lines", "parse-error-first",
+            "decode-error-first", "empty-input", "field-count"])
+    def test_errors_exit_3_and_close_the_file(self, capsys, tmp_path,
+                                              file_format, data, message):
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        if message is None:  # undecodable: worded as a whole-file read words it
+            with pytest.raises(UnicodeDecodeError) as whole:
+                data.decode("utf-8")
+            message = f"cannot read {path}: {whole.value}"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            code, out, err = run_cli(capsys, [
+                "mine", "--input", str(path), "--format", file_format,
+                "--min-support", "1/2", "--min-confidence", "1/2"])
+            gc.collect()
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+        assert not [w for w in caught if w.category is ResourceWarning]
 
 
 class TestRatioFormatting:

@@ -1,3 +1,4 @@
+import io
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from basketminer.core import (
     ingest_basket,
     ingest_tid_pairs,
     itemset,
+    read_lines,
     support_count,
     to_basket_text,
 )
@@ -300,3 +302,183 @@ class TestSupportCountProperties:
         y = data.draw(st.frozensets(st.integers(0, n_items - 1), min_size=1))
         x = data.draw(st.frozensets(st.sampled_from(sorted(y))))
         assert support_count(db, x) >= support_count(db, y)
+
+
+# Every break str.splitlines knows, with text that is not ASCII and the
+# characters basket and tidpairs input treats specially.
+LINE_PIECES = ("\r", "\n", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+               "\x85", "\u2028", "\u2029", "a", "bc", "é", "€", "😀", ",", " ",
+               "#")
+BAD_UTF8 = (b"\xff", b"\x80", b"\xc3(", b"\xe2\x82", b"\xed\xa0\x80",
+            b"\xf0\x9f\x98")
+
+
+def complete_lines(text):
+    """The lines of ``text`` that end in a line break."""
+    return [piece.splitlines()[0] for piece in text.splitlines(True)
+            if piece.splitlines()[0] != piece]
+
+
+class TestReadLines:
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.lists(st.sampled_from(LINE_PIECES)).map("".join),
+           chunk_size=st.integers(1, 9))
+    def test_yields_what_splitlines_gives(self, text, chunk_size):
+        stream = io.BytesIO(text.encode("utf-8"))
+        assert list(read_lines(stream, chunk_size)) == text.splitlines()
+
+    def test_default_chunks_carry_long_lines_and_crlf(self):
+        # A 100,000-byte line spans two 64 KiB chunks, and the "\r\n" after
+        # 65,535 bytes straddles the first boundary.
+        text = "x" * 65535 + "\r\n" + "y" * 100_000 + "\r\nlast"
+        stream = io.BytesIO(text.encode("utf-8"))
+        assert list(read_lines(stream)) == text.splitlines()
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.lists(st.sampled_from(LINE_PIECES)).map("".join),
+           bad=st.sampled_from(BAD_UTF8), data=st.data(),
+           chunk_size=st.integers(1, 9))
+    def test_undecodable_bytes_read_as_a_whole_read_would(self, text, bad,
+                                                          data, chunk_size):
+        cut = data.draw(st.integers(0, len(text)))
+        head = text[:cut].encode("utf-8")
+        raw = head + bad + text[cut:].encode("utf-8")
+        with pytest.raises(UnicodeDecodeError) as whole:
+            raw.decode("utf-8")
+        lines = []
+        with pytest.raises(UnicodeError) as streamed:
+            lines.extend(read_lines(io.BytesIO(raw), chunk_size))
+        assert str(streamed.value) == str(whole.value)
+        assert lines == complete_lines(text[:cut])
+
+
+def basket_reference(lines):
+    """Basket ingest as a strip, a split and an intern per field."""
+    dictionary = ItemDictionary()
+    transactions = []
+    for number, line in enumerate(lines, start=1):
+        if not line.strip() or line.strip().startswith("#"):
+            continue
+        ids = set()
+        for field in line.split(","):
+            if not field.strip():
+                raise IngestionError("empty item label", number)
+            ids.add(dictionary.intern(field).id)
+        transactions.append(tuple(sorted(ids)))
+    if not transactions:
+        raise EmptyInputError("input contains no transactions")
+    return transactions, dictionary
+
+
+def tid_pairs_reference(lines, skip_header):
+    """Tidpairs ingest with every check run on every row."""
+    dictionary = ItemDictionary()
+    groups = {}
+    for number, line in enumerate(lines, start=1):
+        if (skip_header and number == 1) or not line.strip() \
+                or line.strip().startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise IngestionError(
+                f"expected exactly 2 fields 'tid,item_label', got {len(parts)}",
+                number)
+        if not parts[0].strip():
+            raise IngestionError("empty transaction id", number)
+        if not parts[1].strip():
+            raise IngestionError("empty item label", number)
+        item = dictionary.intern(parts[1]).id
+        groups.setdefault(parts[0].strip(), set()).add(item)
+    if not groups:
+        raise EmptyInputError("input contains no transactions")
+    return [tuple(sorted(ids)) for ids in groups.values()], dictionary
+
+
+def outcome(parse, *args):
+    """What ``parse`` returns as comparable values, or the error it raises."""
+    try:
+        result = parse(*args)
+    except (IngestionError, EmptyInputError) as exc:
+        return type(exc), str(exc), exc.line_number
+    if isinstance(result, TransactionDb):
+        return list(result.transactions), list(result.dictionary)
+    transactions, dictionary = result
+    return transactions, list(dictionary)
+
+
+# Fields that collide once trimmed ("a", " a", "a "), fields that open a
+# comment ("#b"), empty fields and tids with padding.
+FIELDS = ("a", " a", "a ", "b", "#b", " #b", "", " ", "1", " 1 ", "2", "tid")
+ingest_lines = st.lists(
+    st.lists(st.sampled_from(FIELDS), min_size=1, max_size=3).map(",".join),
+    max_size=12)
+
+
+class TestIngestCaches:
+    def test_cached_field_can_still_open_a_comment(self):
+        db = ingest_basket(["a,#b", "#b", "  #b", "a"])
+        assert db.n == 2
+        assert [item.label for item in db.dictionary] == ["a", "#b"]
+
+    def test_padded_fields_share_one_id(self):
+        db = ingest_basket([" a", "a ", "a", "a, a,a "])
+        assert db.transactions == ((0,), (0,), (0,), (0,))
+        assert len(db.dictionary) == 1
+
+    def test_padded_tids_merge(self):
+        db = ingest_tid_pairs(["1,x", " 1 ,x", "1 , y", "2,x"])
+        assert db.transactions == ((0, 1), (0,))
+
+    def test_header_tid_is_data_after_line_one(self):
+        db = ingest_tid_pairs(["tid,item", "1,a", "tid,item"], skip_header=True)
+        assert db.transactions == ((0,), (1,))
+
+    @pytest.mark.parametrize("parse, bad, message", [
+        (ingest_basket, "a,,b", "empty item label"),
+        (ingest_basket, "b, ", "empty item label"),
+        (ingest_tid_pairs, " ,a", "empty transaction id"),
+        (ingest_tid_pairs, "1,a,b", "expected exactly 2 fields"),
+        (ingest_tid_pairs, "1,", "empty item label"),
+        (ingest_tid_pairs, "9, ", "empty item label"),
+    ])
+    def test_errors_after_warm_caches_name_their_line(self, parse, bad,
+                                                      message):
+        rows = {ingest_basket: ["a,b", "b, c", "c"],
+                ingest_tid_pairs: ["1,a", "2,b", " 1 , c"]}[parse]
+        lines = [rows[k % 3] for k in range(50_000)] + [bad, "a"]
+        with pytest.raises(IngestionError) as exc_info:
+            parse(lines)
+        assert exc_info.value.line_number == 50_001
+        assert str(exc_info.value).startswith(f"line 50001: {message}")
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=ingest_lines)
+    def test_basket_matches_uncached_parse(self, lines):
+        assert outcome(ingest_basket, lines) == \
+            outcome(basket_reference, lines)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=ingest_lines, skip_header=st.booleans())
+    def test_tid_pairs_match_uncached_parse(self, lines, skip_header):
+        assert outcome(ingest_tid_pairs, lines, skip_header) == \
+            outcome(tid_pairs_reference, lines, skip_header)
+
+
+class TestTrustedConstruction:
+    @settings(max_examples=200, deadline=None)
+    @given(lines=ingest_lines, tid_pairs=st.booleans(),
+           min_items=st.integers(1, 3))
+    def test_ingest_output_passes_the_public_constructor(self, lines,
+                                                         tid_pairs,
+                                                         min_items):
+        try:
+            db = ingest_tid_pairs(lines) if tid_pairs else ingest_basket(lines)
+        except IngestionError:
+            return
+        assert TransactionDb(db.transactions, db.dictionary) == db
+        try:
+            filtered = filter_min_items(db, min_items)
+        except EmptyInputError:
+            return
+        assert TransactionDb(filtered.transactions,
+                             filtered.dictionary) == filtered
