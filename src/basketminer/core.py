@@ -297,25 +297,32 @@ def support_count(db: TransactionDb, ids: Iterable[int]) -> int:
 
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _LINE_BREAK = re.compile(f"[{_LINE_BREAKS}]")
+_CHUNK = 1 << 16  # bytes asked of the stream per read
 
 
-def read_lines(stream: BinaryIO, chunk_size: int = 1 << 16) -> Iterator[str]:
+def read_lines(stream: BinaryIO) -> Iterator[str]:
     """Yield the lines of the UTF-8 byte ``stream`` exactly as
     ``text.splitlines()`` splits its whole decoded text.
 
-    The stream is read ``chunk_size`` bytes at a time, so memory stays at
-    one chunk plus the longest line. The last line of each chunk is carried
-    into the next, with its break if it has one, so a line, a ``\\r\\n`` or
-    a multi-byte character split between chunks is read whole; a line is
-    split once, however many chunks it spans. Bytes that are not UTF-8
-    raise ``UnicodeError``, worded as decoding the whole stream at once
-    would word it; every line that ends before them is yielded first.
+    The stream is read up to ``_CHUNK`` bytes at a time (a read may return
+    fewer), so memory stays at one chunk plus the longest line. The last
+    line of each chunk is carried into the next, with its break if it has
+    one, so a line, a ``\\r\\n`` or a multi-byte character split between
+    chunks is read whole; a line is split once, however many chunks it
+    spans. Bytes that are not UTF-8 raise ``UnicodeError``, worded as
+    decoding the whole stream at once would word it; every line that ends
+    before them is yielded first.
+
+    ``io.TextIOWrapper(stream, "utf-8", newline="")`` iterated by line,
+    each line split again, gives the same lines at about three times the
+    per-line cost, and on bad bytes it drops the lines before them in its
+    buffer.
     """
     decoder = codecs.getincrementaldecoder("utf-8")()
     carry: list[str] = []  # the unfinished last line, a piece per chunk
     decoded = 0  # bytes given to the decoder before this chunk
     while True:
-        chunk = stream.read(chunk_size)
+        chunk = stream.read(_CHUNK)
         pending = len(decoder.getstate()[0])
         try:
             carry.append(decoder.decode(chunk, final=not chunk))
@@ -385,8 +392,7 @@ def ingest_basket(lines: Iterable[str]) -> TransactionDb:
     for line_number, raw in enumerate(lines, start=1):
         # Every line is tested: a field seen before may still open a
         # comment, as "#b" does after the line "a,#b".
-        stripped = raw.strip()
-        if not stripped or stripped[0] == "#":
+        if _is_comment_or_blank(raw):
             continue
         fields = raw.split(",")
         try:

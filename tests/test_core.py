@@ -319,13 +319,25 @@ def complete_lines(text):
             if piece.splitlines()[0] != piece]
 
 
+class ShortReads:
+    """A byte stream whose ``read(n)`` returns at most ``limit`` bytes, so
+    line breaks and characters straddle the reads."""
+
+    def __init__(self, raw, limit):
+        self._stream = io.BytesIO(raw)
+        self._limit = limit
+
+    def read(self, size):
+        return self._stream.read(min(size, self._limit))
+
+
 class TestReadLines:
     @settings(max_examples=300, deadline=None)
     @given(text=st.lists(st.sampled_from(LINE_PIECES)).map("".join),
-           chunk_size=st.integers(1, 9))
-    def test_yields_what_splitlines_gives(self, text, chunk_size):
-        stream = io.BytesIO(text.encode("utf-8"))
-        assert list(read_lines(stream, chunk_size)) == text.splitlines()
+           limit=st.integers(1, 9))
+    def test_yields_what_splitlines_gives(self, text, limit):
+        stream = ShortReads(text.encode("utf-8"), limit)
+        assert list(read_lines(stream)) == text.splitlines()
 
     def test_default_chunks_carry_long_lines_and_crlf(self):
         # A 100,000-byte line spans two 64 KiB chunks, and the "\r\n" after
@@ -337,9 +349,9 @@ class TestReadLines:
     @settings(max_examples=200, deadline=None)
     @given(text=st.lists(st.sampled_from(LINE_PIECES)).map("".join),
            bad=st.sampled_from(BAD_UTF8), data=st.data(),
-           chunk_size=st.integers(1, 9))
+           limit=st.integers(1, 9))
     def test_undecodable_bytes_read_as_a_whole_read_would(self, text, bad,
-                                                          data, chunk_size):
+                                                          data, limit):
         cut = data.draw(st.integers(0, len(text)))
         head = text[:cut].encode("utf-8")
         raw = head + bad + text[cut:].encode("utf-8")
@@ -347,7 +359,7 @@ class TestReadLines:
             raw.decode("utf-8")
         lines = []
         with pytest.raises(UnicodeError) as streamed:
-            lines.extend(read_lines(io.BytesIO(raw), chunk_size))
+            lines.extend(read_lines(ShortReads(raw, limit)))
         assert str(streamed.value) == str(whole.value)
         assert lines == complete_lines(text[:cut])
 
