@@ -104,9 +104,9 @@ def _count(covers: dict[int, int], candidate_set: CandidateSet,
 
 
 def mine_levels(db: TransactionDb, singletons: Sequence[FrequentItemset],
-                threshold: int, max_itemset_size: int | None = None,
-                ) -> tuple[list[FrequentItemset], int]:
-    """Grow levels 2.. from ``singletons``; returns (all frequents, peak candidates).
+                threshold: int) -> tuple[list[FrequentItemset], int]:
+    """Grow levels 2.. from ``singletons`` until a level is empty; returns
+    (all frequents, peak candidates).
 
     The peak is the largest candidate table built at any level, the
     benchmark-visible cost of candidate generation. Covers are built once,
@@ -116,14 +116,12 @@ def mine_levels(db: TransactionDb, singletons: Sequence[FrequentItemset],
     covers = _covers(db, (f.itemset[0] for f in singletons))
     result = list(singletons)
     level = list(singletons)
-    size = 1
     peak_candidates = 0
-    while level and (max_itemset_size is None or size < max_itemset_size):
+    while level:
         candidate_set = candidate_gen(level)
         peak_candidates = max(peak_candidates, len(candidate_set.candidates))
         level = _count(covers, candidate_set, threshold)
         result.extend(level)
-        size += 1
     result.sort(key=lambda f: (len(f.itemset), f.itemset))
     return result, peak_candidates
 
@@ -134,5 +132,5 @@ def apriori_mine(db: TransactionDb, params: MiningParams) -> list[FrequentItemse
         raise EmptyInputError("cannot mine an empty transaction database")
     threshold = params.absolute_threshold(db.n)
     singletons = frequent_singletons(db, threshold)
-    result, _ = mine_levels(db, singletons, threshold, params.max_itemset_size)
+    result, _ = mine_levels(db, singletons, threshold)
     return result

@@ -15,14 +15,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from time import perf_counter
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .apriori import frequent_singletons, mine_levels
+from .apriori import apriori_mine, frequent_singletons, mine_levels
 from .core import FrequentItemset, MiningError, MiningParams, TransactionDb
 from .fpgrowth import build_fp_tree, fp_growth_mine
+from .fpgrowth import mine as fpgrowth_mine
 from .oracle import brute_force_mine
 
-ALGORITHMS = ("apriori", "fpgrowth", "bruteforce")
+# Each engine by its CLI name. ``apriori_mine`` and ``fpgrowth_mine`` look
+# their phase functions up on their modules at call time, so a caller that
+# replaces a phase (as a tracer does) reaches it through this table too.
+ENGINES: dict[str, Callable[[TransactionDb, MiningParams],
+                            list[FrequentItemset]]] = {
+    "apriori": apriori_mine,
+    "fpgrowth": fpgrowth_mine,
+    "bruteforce": brute_force_mine,
+}
 
 
 class EngineDisagreementError(MiningError):
@@ -76,15 +85,14 @@ def run_phases(algorithm: str, db: TransactionDb, params: MiningParams) -> Phase
         t0 = perf_counter()
         tree = build_fp_tree(db, threshold)
         t1 = perf_counter()
-        result = fp_growth_mine(tree, threshold, params)
+        result = fp_growth_mine(tree)
         t2 = perf_counter()
         return PhaseRun(result, t1 - t0, t2 - t1, tree.node_count)
     if algorithm == "apriori":
         t0 = perf_counter()
         singletons = frequent_singletons(db, threshold)
         t1 = perf_counter()
-        result, peak = mine_levels(db, singletons, threshold,
-                                   params.max_itemset_size)
+        result, peak = mine_levels(db, singletons, threshold)
         t2 = perf_counter()
         return PhaseRun(result, t1 - t0, t2 - t1, peak)
     if algorithm == "bruteforce":

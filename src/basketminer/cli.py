@@ -17,8 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .apriori import apriori_mine
-from .bench import ALGORITHMS, BenchmarkReport, EngineDisagreementError, benchmark
+from .bench import ENGINES, BenchmarkReport, EngineDisagreementError, benchmark
 from .core import (
     ConfigError,
     FrequentItemset,
@@ -33,8 +32,7 @@ from .core import (
     read_lines,
     to_basket_text,
 )
-from .fpgrowth import mine as fpgrowth_mine
-from .oracle import GeneratorConfig, brute_force_mine, generate_db
+from .oracle import GeneratorConfig, generate_db
 from .rules import RuleSet, generate_rules, whole_percent
 
 EXIT_OK = 0
@@ -42,12 +40,6 @@ EXIT_USAGE = 2
 EXIT_INGESTION = 3
 EXIT_GUARD = 4
 EXIT_DISAGREEMENT = 5
-
-ENGINES: dict[str, Callable[[TransactionDb, MiningParams], list[FrequentItemset]]] = {
-    "apriori": apriori_mine,
-    "fpgrowth": fpgrowth_mine,
-    "bruteforce": brute_force_mine,
-}
 
 RULE_TABLE_HEADER = ("People who bought this item",
                      "Also bought the following items",
@@ -111,10 +103,10 @@ def algorithms_arg(text: str) -> tuple[str, ...]:
     if not names:
         raise argparse.ArgumentTypeError("no algorithms given")
     for name in names:
-        if name not in ALGORITHMS:
+        if name not in ENGINES:
             raise argparse.ArgumentTypeError(
                 f"unknown algorithm {name!r}; choose from "
-                f"{', '.join(ALGORITHMS)}")
+                f"{', '.join(ENGINES)}")
     return names
 
 

@@ -31,6 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import BinaryIO, Iterable, Iterator
 
 ItemSet = tuple[int, ...]
@@ -79,7 +80,7 @@ def itemset(ids: Iterable[int]) -> ItemSet:
     return tuple(sorted(set(ids)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Item:
     """An interned item: dense non-negative id plus its trimmed label."""
 
@@ -183,10 +184,7 @@ class TransactionDb:
 
     def item_frequencies(self) -> Counter[int]:
         """Per-item occurrence counts (one per containing transaction)."""
-        counts: Counter[int] = Counter()
-        for t in self.transactions:
-            counts.update(t)
-        return counts
+        return Counter(chain.from_iterable(self.transactions))
 
     def __repr__(self) -> str:
         return f"TransactionDb(n={self.n}, items={len(self.dictionary)})"
@@ -207,12 +205,13 @@ class MiningParams:
     Both fractions must lie in (0, 1]. Values are normalized to exact
     ``Fraction``s; a float becomes the decimal its ``repr`` prints (0.1 is
     1/10, not the binary value just above it), and strings like ``"3/7"``
-    or ``"0.05"`` parse exactly.
+    or ``"0.05"`` parse exactly. Engines read only ``min_support``, through
+    ``absolute_threshold``, and mine every frequent itemset whatever its
+    size; ``min_confidence`` is for rule generation.
     """
 
     min_support: Fraction
     min_confidence: Fraction
-    max_itemset_size: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "min_support", _exact(self.min_support))
@@ -221,8 +220,6 @@ class MiningParams:
             raise ValueError(f"min_support must be in (0, 1], got {self.min_support}")
         if not 0 < self.min_confidence <= 1:
             raise ValueError(f"min_confidence must be in (0, 1], got {self.min_confidence}")
-        if self.max_itemset_size is not None and self.max_itemset_size < 1:
-            raise ValueError("max_itemset_size must be a positive integer")
 
     def absolute_threshold(self, n_transactions: int) -> int:
         """Absolute support-count threshold: ceil(min_support * N), >= 1.

@@ -19,17 +19,18 @@ header length. Nothing in the tree refers back to anything and the lists
 and the dict hold only ints, so the cyclic garbage collector has nothing
 to walk, and a tree no longer used is freed at once by reference counting.
 
-Output is count-for-count identical to the Apriori engine.
+A tree is pinned to the threshold it was built with, and it is mined at
+that threshold, as in Han, Pei & Yin (SIGMOD 2000): ``fp_growth_mine``
+takes the tree and nothing else. Output is count-for-count identical to
+the Apriori engine.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .core import (
-    ContractViolationError,
     EmptyInputError,
     FrequentItemset,
     ItemSet,
@@ -65,14 +66,13 @@ class FpTree:
     0 ends it.
     """
 
-    def __init__(self, threshold: int, n_transactions: int):
+    def __init__(self, threshold: int):
         self.item = [ROOT_ITEM]
         self.count = [0]
         self.parent = [0]
         self.next_same_item = [0]
         self.header: list[HeaderEntry] = []
         self.threshold = threshold
-        self.n_transactions = n_transactions
 
     @property
     def node_count(self) -> int:
@@ -101,10 +101,10 @@ def _header(totals: Iterable[tuple[int, int]],
 
 
 def _build_tree(rows: Iterable[WeightedRow], header: list[HeaderEntry],
-                threshold: int, n_transactions: int) -> FpTree:
+                threshold: int) -> FpTree:
     """Insert each row's header items in header order; ``header`` holds
     the rows' item totals."""
-    tree = FpTree(threshold, n_transactions)
+    tree = FpTree(threshold)
     tree.header = header
     if not header:
         return tree
@@ -141,10 +141,8 @@ def build_fp_tree(db: TransactionDb, threshold: int) -> FpTree:
     each transaction's surviving items in header order."""
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
-    header = _header(Counter(chain.from_iterable(db.transactions)).items(),
-                     threshold)
-    return _build_tree(((t, 1) for t in db.transactions), header, threshold,
-                       db.n)
+    header = _header(db.item_frequencies().items(), threshold)
+    return _build_tree(((t, 1) for t in db.transactions), header, threshold)
 
 
 def _base_totals(tree: FpTree, entry: HeaderEntry) -> dict[int, int]:
@@ -183,45 +181,34 @@ def _pattern_base(tree: FpTree, entry: HeaderEntry) -> list[WeightedRow]:
     return rows
 
 
-def _mine(tree: FpTree, suffix: ItemSet, threshold: int,
-          max_size: int | None, out: list[FrequentItemset]) -> None:
+def _mine(tree: FpTree, suffix: ItemSet, out: list[FrequentItemset]) -> None:
     path = tree.single_path()
     if path is not None:
         item, count = tree.item, tree.count
-        budget = None if max_size is None else max_size - len(suffix)
-        limit = len(path) if budget is None else min(len(path), budget)
-        for r in range(1, limit + 1):
+        for r in range(1, len(path) + 1):
             for combo in combinations(path, r):
                 items = tuple(sorted(suffix + tuple(item[n] for n in combo)))
                 out.append(FrequentItemset(items, min(count[n] for n in combo)))
         return
+    threshold = tree.threshold
     # Least-frequent items first: their conditional trees are smallest.
     for entry in reversed(tree.header):
         extended = tuple(sorted(suffix + (entry.item,)))
         out.append(FrequentItemset(extended, entry.total))
-        if max_size is not None and len(extended) >= max_size:
-            continue
         # Count the pattern base before building it: most bases hold no
         # item that reaches the threshold, and then nothing else is done.
         header = _header(_base_totals(tree, entry).items(), threshold)
         if header:
             conditional = _build_tree(_pattern_base(tree, entry), header,
-                                      threshold, tree.n_transactions)
-            _mine(conditional, extended, threshold, max_size, out)
+                                      threshold)
+            _mine(conditional, extended, out)
 
 
-def fp_growth_mine(tree: FpTree, threshold: int,
-                   params: MiningParams) -> list[FrequentItemset]:
-    """Mine the tree; result contract identical to ``apriori_mine``.
-
-    ``threshold`` must equal the threshold the tree was built with.
-    """
-    if threshold != tree.threshold:
-        raise ContractViolationError(
-            f"tree was built with threshold {tree.threshold}, "
-            f"cannot mine with {threshold}")
+def fp_growth_mine(tree: FpTree) -> list[FrequentItemset]:
+    """Every itemset reaching the threshold the tree was built with;
+    result contract identical to ``apriori_mine``."""
     result: list[FrequentItemset] = []
-    _mine(tree, (), threshold, params.max_itemset_size, result)
+    _mine(tree, (), result)
     result.sort(key=lambda f: (len(f.itemset), f.itemset))
     return result
 
@@ -232,4 +219,4 @@ def mine(db: TransactionDb, params: MiningParams) -> list[FrequentItemset]:
         raise EmptyInputError("cannot mine an empty transaction database")
     threshold = params.absolute_threshold(db.n)
     tree = build_fp_tree(db, threshold)
-    return fp_growth_mine(tree, threshold, params)
+    return fp_growth_mine(tree)

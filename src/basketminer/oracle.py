@@ -44,10 +44,9 @@ def brute_force_mine(db: TransactionDb, params: MiningParams) -> list[FrequentIt
             f"brute-force enumeration over {universe} items exceeds the "
             f"{MAX_ORACLE_ITEMS}-item guard; use a real engine")
     threshold = params.absolute_threshold(db.n)
-    max_size = params.max_itemset_size or universe
     transactions = db.transaction_sets
     result: list[FrequentItemset] = []
-    for size in range(1, min(universe, max_size) + 1):
+    for size in range(1, universe + 1):
         found_any = False
         for candidate in combinations(range(universe), size):
             needed = frozenset(candidate)

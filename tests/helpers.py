@@ -1,11 +1,17 @@
-"""Shared test utilities for building transaction databases directly."""
+"""Shared test utilities: direct db builders and the uncached reference
+parsers that ingest is checked and timed against."""
 
 from __future__ import annotations
 
 import random
 from typing import Iterable, Sequence
 
-from basketminer.core import ItemDictionary, TransactionDb
+from basketminer.core import (
+    EmptyInputError,
+    IngestionError,
+    ItemDictionary,
+    TransactionDb,
+)
 
 
 def db_from_ids(transactions: Iterable[Sequence[int]], n_items: int) -> TransactionDb:
@@ -34,3 +40,45 @@ def random_db(rng: random.Random, max_items: int = 12,
 
 def as_pairs(frequents) -> frozenset:
     return frozenset((f.itemset, f.count) for f in frequents)
+
+
+def basket_reference(lines):
+    """Basket ingest as a strip, a split and an intern per field."""
+    dictionary = ItemDictionary()
+    transactions = []
+    for number, line in enumerate(lines, start=1):
+        if not line.strip() or line.strip().startswith("#"):
+            continue
+        ids = set()
+        for field in line.split(","):
+            if not field.strip():
+                raise IngestionError("empty item label", number)
+            ids.add(dictionary.intern(field).id)
+        transactions.append(tuple(sorted(ids)))
+    if not transactions:
+        raise EmptyInputError("input contains no transactions")
+    return transactions, dictionary
+
+
+def tid_pairs_reference(lines, skip_header):
+    """Tidpairs ingest with every check run on every row."""
+    dictionary = ItemDictionary()
+    groups = {}
+    for number, line in enumerate(lines, start=1):
+        if (skip_header and number == 1) or not line.strip() \
+                or line.strip().startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise IngestionError(
+                f"expected exactly 2 fields 'tid,item_label', got {len(parts)}",
+                number)
+        if not parts[0].strip():
+            raise IngestionError("empty transaction id", number)
+        if not parts[1].strip():
+            raise IngestionError("empty item label", number)
+        item = dictionary.intern(parts[1]).id
+        groups.setdefault(parts[0].strip(), set()).add(item)
+    if not groups:
+        raise EmptyInputError("input contains no transactions")
+    return [tuple(sorted(ids)) for ids in groups.values()], dictionary

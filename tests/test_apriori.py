@@ -109,7 +109,7 @@ class TestCountLevel:
     def level(db, k, threshold):
         """The frequent k-itemsets that ``mine_levels`` counts."""
         result, _ = mine_levels(db, frequent_singletons(db, threshold),
-                                threshold, max_itemset_size=k)
+                                threshold)
         return [f for f in result if len(f.itemset) == k]
 
     def test_counts_match_direct_support(self, grocery_db):
@@ -168,12 +168,6 @@ class TestAprioriMine:
         empty = TransactionDb((), ItemDictionary())
         with pytest.raises(EmptyInputError):
             apriori_mine(empty, PARAMS_3_OF_7)
-
-    def test_max_itemset_size_caps_levels(self, grocery_db):
-        params = MiningParams(min_support=Fraction(3, 7), min_confidence=1,
-                              max_itemset_size=1)
-        result = apriori_mine(grocery_db, params)
-        assert all(len(f.itemset) == 1 for f in result)
 
     def test_downward_closure_of_results(self):
         rng = random.Random(7)

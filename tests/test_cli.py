@@ -23,6 +23,7 @@ from basketminer.core import (
     MiningParams,
     TransactionDb,
 )
+from basketminer.fpgrowth import mine as fpgrowth_mine
 from basketminer.oracle import brute_force_mine
 from basketminer.rules import format_percent, generate_rules
 
@@ -372,7 +373,7 @@ class TestRenderers:
         assert code == 0
         db = cli.load_db(str(path), "basket")
         params = MiningParams(Fraction(1, 2), Fraction(1, 2))
-        frequents = cli.fpgrowth_mine(db, params)
+        frequents = fpgrowth_mine(db, params)
         ruleset = generate_rules(frequents, db, params)
         assert len(ruleset) > 0
         assert out == reference_csv(ruleset, db,

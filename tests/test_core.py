@@ -10,6 +10,7 @@ from basketminer.core import (
     DomainError,
     EmptyInputError,
     IngestionError,
+    Item,
     ItemDictionary,
     MiningParams,
     TransactionDb,
@@ -21,7 +22,12 @@ from basketminer.core import (
     support_count,
     to_basket_text,
 )
-from helpers import db_from_ids, random_db
+from helpers import (
+    basket_reference,
+    db_from_ids,
+    random_db,
+    tid_pairs_reference,
+)
 
 
 class TestItemDictionary:
@@ -45,6 +51,15 @@ class TestItemDictionary:
         d = ItemDictionary()
         with pytest.raises(ValueError):
             d.intern("   ")
+
+    def test_items_have_no_instance_dict(self):
+        item = ItemDictionary().intern("Sugar")
+        assert not hasattr(item, "__dict__")
+        assert item == Item(0, "Sugar")
+        assert hash(item) == hash(Item(0, "Sugar"))
+        assert item != Item(1, "Sugar")
+        assert item != Item(0, "Wheat")
+        assert len({item, Item(0, "Sugar"), Item(0, "Wheat")}) == 2
 
     def test_grocery_labels_intern_in_table_order(self, grocery_db):
         d = grocery_db.dictionary
@@ -211,10 +226,6 @@ class TestMiningParams:
         with pytest.raises(ValueError):
             MiningParams(min_support=1, min_confidence=bad)
 
-    def test_max_itemset_size_must_be_positive(self):
-        with pytest.raises(ValueError):
-            MiningParams(min_support=1, min_confidence=1, max_itemset_size=0)
-
 
 class TestAssociationRule:
     def test_support_and_confidence_are_exact(self):
@@ -362,48 +373,6 @@ class TestReadLines:
             lines.extend(read_lines(ShortReads(raw, limit)))
         assert str(streamed.value) == str(whole.value)
         assert lines == complete_lines(text[:cut])
-
-
-def basket_reference(lines):
-    """Basket ingest as a strip, a split and an intern per field."""
-    dictionary = ItemDictionary()
-    transactions = []
-    for number, line in enumerate(lines, start=1):
-        if not line.strip() or line.strip().startswith("#"):
-            continue
-        ids = set()
-        for field in line.split(","):
-            if not field.strip():
-                raise IngestionError("empty item label", number)
-            ids.add(dictionary.intern(field).id)
-        transactions.append(tuple(sorted(ids)))
-    if not transactions:
-        raise EmptyInputError("input contains no transactions")
-    return transactions, dictionary
-
-
-def tid_pairs_reference(lines, skip_header):
-    """Tidpairs ingest with every check run on every row."""
-    dictionary = ItemDictionary()
-    groups = {}
-    for number, line in enumerate(lines, start=1):
-        if (skip_header and number == 1) or not line.strip() \
-                or line.strip().startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise IngestionError(
-                f"expected exactly 2 fields 'tid,item_label', got {len(parts)}",
-                number)
-        if not parts[0].strip():
-            raise IngestionError("empty transaction id", number)
-        if not parts[1].strip():
-            raise IngestionError("empty item label", number)
-        item = dictionary.intern(parts[1]).id
-        groups.setdefault(parts[0].strip(), set()).add(item)
-    if not groups:
-        raise EmptyInputError("input contains no transactions")
-    return [tuple(sorted(ids)) for ids in groups.values()], dictionary
 
 
 def outcome(parse, *args):

@@ -6,7 +6,6 @@ import pytest
 
 from basketminer.apriori import apriori_mine
 from basketminer.core import (
-    ContractViolationError,
     EmptyInputError,
     ItemDictionary,
     MiningParams,
@@ -114,9 +113,8 @@ class TestMine:
             as_pairs(apriori_mine(grocery_db, params))
 
     def test_bare_tree_mines_nothing(self, grocery_db):
-        params = MiningParams(min_support=1, min_confidence=1)
         tree = build_fp_tree(grocery_db, 7)
-        assert fp_growth_mine(tree, 7, params) == []
+        assert fp_growth_mine(tree) == []
 
     def test_single_path_enumerates_all_subsets(self):
         db = db_from_ids([(0, 1, 2)] * 4, 3)
@@ -126,12 +124,6 @@ class TestMine:
             (0,): 4, (1,): 4, (2,): 4,
             (0, 1): 4, (0, 2): 4, (1, 2): 4,
             (0, 1, 2): 4}
-
-    def test_threshold_mismatch_violates_contract(self, grocery_db):
-        tree = build_fp_tree(grocery_db, 3)
-        params = MiningParams(min_support=Fraction(3, 7), min_confidence=1)
-        with pytest.raises(ContractViolationError):
-            fp_growth_mine(tree, 2, params)
 
     def test_empty_db_rejected(self):
         empty = TransactionDb((), ItemDictionary())
@@ -147,15 +139,6 @@ class TestMine:
             for frequent in mine(db, params):
                 assert frequent.count >= threshold
                 assert frequent.count == support_count(db, frequent.itemset)
-
-    def test_max_itemset_size_respected(self):
-        db = db_from_ids([(0, 1, 2, 3)] * 5, 4)
-        params = MiningParams(min_support=1, min_confidence=1,
-                              max_itemset_size=2)
-        result = mine(db, params)
-        assert result
-        assert all(len(f.itemset) <= 2 for f in result)
-        assert as_pairs(result) == as_pairs(apriori_mine(db, params))
 
     def test_matches_apriori_on_random_dbs(self):
         rng = random.Random(9)

@@ -71,11 +71,6 @@ class TestBruteForceMine:
         for frequent in result:
             assert frequent.count == support_count(grocery_db, frequent.itemset)
 
-    def test_max_itemset_size_caps_enumeration(self, grocery_db):
-        params = MiningParams(Fraction(1, 7), 1, max_itemset_size=1)
-        result = brute_force_mine(grocery_db, params)
-        assert all(len(f.itemset) == 1 for f in result)
-
 
 class TestGeneratorConfig:
     def test_valid_config_accepted(self):
