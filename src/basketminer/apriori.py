@@ -4,15 +4,18 @@ Candidates of size k are produced by the classical prefix join of the
 frequent (k-1)-itemsets, then pruned using the anti-monotone property: a
 candidate survives only if every (k-1)-subset was frequent at the
 previous level. Support is counted vertically (Zaki, IEEE TKDE 2000):
-one pass over the database gives each item a cover, the set of
-transactions holding it as an int bitset, and a candidate's count is the
-population count of the intersection of its items' covers.
+each frequent item gets a cover, the set of transactions holding it as an
+int bitset, and a candidate's count is the population count of the
+intersection of its items' covers. Level 2, where every pair of frequent
+items is a candidate, is counted by ``pairs``' kernel instead, which
+intersects those covers only when its cost rule finds that cheaper than
+counting the pairs inside each transaction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import (
     ContractViolationError,
@@ -22,6 +25,7 @@ from .core import (
     MiningParams,
     TransactionDb,
 )
+from . import pairs
 
 
 @dataclass(frozen=True)
@@ -76,19 +80,6 @@ def candidate_gen(prev_level: Sequence[FrequentItemset]) -> CandidateSet:
     return CandidateSet(k, tuple(candidates))
 
 
-def _covers(db: TransactionDb, items: Iterable[int]) -> dict[int, int]:
-    """The cover of each of ``items``: an int whose bit i is set iff
-    transaction i holds the item."""
-    rows = {item: bytearray((db.n + 7) // 8) for item in items}
-    for tid, t in enumerate(db.transactions):
-        byte, bit = tid >> 3, 1 << (tid & 7)
-        for item in t:
-            row = rows.get(item)
-            if row is not None:
-                row[byte] |= bit
-    return {item: int.from_bytes(row, "little") for item, row in rows.items()}
-
-
 def _count(covers: dict[int, int], candidate_set: CandidateSet,
            threshold: int) -> list[FrequentItemset]:
     """Candidates whose covers' intersection holds >= ``threshold`` tids."""
@@ -109,18 +100,44 @@ def mine_levels(db: TransactionDb, singletons: Sequence[FrequentItemset],
     (all frequents, peak candidates).
 
     The peak is the largest candidate table built at any level, the
-    benchmark-visible cost of candidate generation. Covers are built once,
+    benchmark-visible cost of candidate generation. Level 2 joins every
+    pair of singletons, so its table is C(F, 2) for F singletons; it is
+    counted by ``pairs``' kernel over each transaction's frequent items,
+    ranked by id. The levels above intersect covers, which are built once,
     for the frequent singletons only: no candidate uses another item, and
-    memory stays at N/8 bytes per frequent item.
+    memory stays at N/8 bytes per frequent item. When the kernel's cost
+    rule picks covers for level 2, those same covers serve the levels above.
     """
-    covers = _covers(db, (f.itemset[0] for f in singletons))
+    items = sorted(f.itemset[0] for f in singletons)
+    width = len(items)
+    if width == len(db.dictionary):
+        rows = db.transactions  # every item is frequent: ids are the ranks
+    else:
+        rank = {item: position for position, item in enumerate(items)}
+        rows = [tuple([rank[i] for i in t if i in rank])
+                for t in db.transactions]
+    # pairs.pair_counts' own choice, made here so that covers it builds
+    # for level 2 serve the levels above too.
+    cover_of: dict[int, int] = {}
+    if pairs._covers_cheaper(rows, width):
+        covers = pairs.covers(rows, width)
+        cover_of = dict(zip(items, covers))
+        counted = pairs.count_by_covers(covers, threshold)
+    else:
+        counted = pairs.count_by_prefixes(rows, width, threshold)
+    level = [FrequentItemset((items[q], items[p]), count)
+             for p, found in enumerate(counted) for q, count in found]
     result = list(singletons)
-    level = list(singletons)
-    peak_candidates = 0
+    result.extend(level)
+    peak_candidates = width * (width - 1) // 2
     while level:
         candidate_set = candidate_gen(level)
         peak_candidates = max(peak_candidates, len(candidate_set.candidates))
-        level = _count(covers, candidate_set, threshold)
+        if not candidate_set.candidates:
+            break
+        if not cover_of:
+            cover_of = dict(zip(items, pairs.covers(rows, width)))
+        level = _count(cover_of, candidate_set, threshold)
         result.extend(level)
     result.sort(key=lambda f: (len(f.itemset), f.itemset))
     return result, peak_candidates

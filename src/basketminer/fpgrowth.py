@@ -9,15 +9,24 @@ single-path tree short-circuits into direct subset enumeration. Each
 pattern base is counted before it is built, so a base in which no item
 reaches the threshold is never built.
 
+``build_fp_tree`` ranks each transaction's frequent items in header order
+once and uses the ranked rows twice. ``pairs.pair_counts`` counts their
+pairs into the tree's FP-array (Grahne & Zhu, FIMI 2003): for each item,
+the frequent items of its conditional pattern base. Mining reads the top
+tree's bases from it; conditional trees have none and count their bases
+by walking their nodes' ancestors. The same rows, sorted, are the tree's
+paths: inserted in sorted order, each path shares exactly its common
+prefix with the one before it, so no child lookup is needed, and counts
+are summed bottom-up in one reverse pass. Conditional trees are inserted
+the same way.
+
 The tree is stored as parallel int lists indexed by node: ``item``,
 ``count``, ``parent`` and ``next_same_item``. Node 0 is the root, and
 nodes are numbered in creation order, so a parent always has a smaller
 index than its children. Node 0 also ends every header chain, since the
-root never joins one. While the tree is built, child lookup goes through
-one dict keyed by ``parent * width + rank``, where ``width`` is the
-header length. Nothing in the tree refers back to anything and the lists
-and the dict hold only ints, so the cyclic garbage collector has nothing
-to walk, and a tree no longer used is freed at once by reference counting.
+root never joins one. Nothing in the tree refers back to anything and the
+lists hold only ints, so the cyclic garbage collector has nothing to walk,
+and a tree no longer used is freed at once by reference counting.
 
 A tree is pinned to the threshold it was built with, and it is mined at
 that threshold, as in Han, Pei & Yin (SIGMOD 2000): ``fp_growth_mine``
@@ -27,6 +36,7 @@ the Apriori engine.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -37,6 +47,7 @@ from .core import (
     MiningParams,
     TransactionDb,
 )
+from .pairs import PairCounts, pair_counts
 
 ROOT_ITEM = -1
 
@@ -63,7 +74,9 @@ class FpTree:
     ``item``, ``count``, ``parent`` and ``next_same_item`` are indexed by
     node; node 0 is the root, whose own ``parent`` entry is never read.
     ``next_same_item`` threads each header chain, newest node first, and
-    0 ends it.
+    0 ends it. ``fp_array[p]`` lists the (rank q, count) pairs of the
+    frequent items in the conditional pattern base of the item at header
+    rank p; ``build_fp_tree`` sets it, and it is None on conditional trees.
     """
 
     def __init__(self, threshold: int):
@@ -73,6 +86,7 @@ class FpTree:
         self.next_same_item = [0]
         self.header: list[HeaderEntry] = []
         self.threshold = threshold
+        self.fp_array: PairCounts | None = None
 
     @property
     def node_count(self) -> int:
@@ -102,47 +116,81 @@ def _header(totals: Iterable[tuple[int, int]],
 
 def _build_tree(rows: Iterable[WeightedRow], header: list[HeaderEntry],
                 threshold: int) -> FpTree:
-    """Insert each row's header items in header order; ``header`` holds
-    the rows' item totals."""
+    """The tree of each row's header items in header order; ``header``
+    holds the rows' item totals."""
+    rank = _ranks(header)
+    paths: dict[tuple[int, ...], int] = {}
+    for items, weight in rows:
+        path = tuple(sorted([rank[i] for i in items if i in rank]))
+        paths[path] = paths.get(path, 0) + weight
+    return _insert_sorted(paths, header, threshold)
+
+
+def _ranks(header: list[HeaderEntry]) -> dict[int, int]:
+    """Each header item's position in the header."""
+    return {entry.item: position for position, entry in enumerate(header)}
+
+
+def _insert_sorted(paths: dict[tuple[int, ...], int],
+                   header: list[HeaderEntry], threshold: int) -> FpTree:
+    """The tree of ``paths``, which maps ascending tuples of header ranks
+    to their weights.
+
+    Paths are inserted in sorted order, so each one shares exactly its
+    common prefix with the path before it, and only the nodes of that
+    path (``stack``) can be reused. A path's weight goes on its last node,
+    and one reverse pass then adds each node's count to its parent's, so
+    the root ends up with the total weight.
+    """
     tree = FpTree(threshold)
     tree.header = header
-    if not header:
-        return tree
-    width = len(header)
     by_rank = [entry.item for entry in header]
-    rank = {item: position for position, item in enumerate(by_rank)}
-    heads = [0] * width
+    heads = [0] * len(header)
     item_of, count, parent, next_same_item = (
         tree.item, tree.count, tree.parent, tree.next_same_item)
-    children: dict[int, int] = {}
-    for items, weight in rows:
-        node = 0
-        for position in sorted([rank[i] for i in items if i in rank]):
-            key = node * width + position
-            child = children.get(key)
-            if child is None:
-                child = len(item_of)
-                children[key] = child
-                item_of.append(by_rank[position])
-                count.append(weight)
-                parent.append(node)
-                next_same_item.append(heads[position])
-                heads[position] = child
-            else:
-                count[child] += weight
+    stack = [0]  # the root, then the previous path's nodes by depth
+    previous: tuple[int, ...] = ()
+    for path in sorted(paths):
+        shared = 0
+        for here, before in zip(path, previous):
+            if here != before:
+                break
+            shared += 1
+        del stack[shared + 1:]
+        node = stack[-1]
+        for position in path[shared:]:
+            child = len(item_of)
+            item_of.append(by_rank[position])
+            count.append(0)
+            parent.append(node)
+            next_same_item.append(heads[position])
+            heads[position] = child
+            stack.append(child)
             node = child
+        count[node] += paths[path]
+        previous = path
+    for node in range(len(parent) - 1, 0, -1):
+        count[parent[node]] += count[node]
     for entry, head in zip(header, heads):
         entry.head = head
     return tree
 
 
 def build_fp_tree(db: TransactionDb, threshold: int) -> FpTree:
-    """First pass drops items below ``threshold``; second pass inserts
-    each transaction's surviving items in header order."""
+    """First pass drops items below ``threshold``; the second ranks each
+    transaction's surviving items in header order once, builds the tree
+    from the ranked rows and counts their pairs into ``tree.fp_array``."""
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
     header = _header(db.item_frequencies().items(), threshold)
-    return _build_tree(((t, 1) for t in db.transactions), header, threshold)
+    rank = _ranks(header)
+    rows = [tuple(sorted([rank[i] for i in t if i in rank]))
+            for t in db.transactions]
+    # Pairs first: what counting them holds is freed before the tree grows.
+    fp_array = pair_counts(rows, len(header), threshold)
+    tree = _insert_sorted(Counter(rows), header, threshold)
+    tree.fp_array = fp_array
+    return tree
 
 
 def _base_totals(tree: FpTree, entry: HeaderEntry) -> dict[int, int]:
@@ -190,16 +238,22 @@ def _mine(tree: FpTree, suffix: ItemSet, out: list[FrequentItemset]) -> None:
                 items = tuple(sorted(suffix + tuple(item[n] for n in combo)))
                 out.append(FrequentItemset(items, min(count[n] for n in combo)))
         return
-    threshold = tree.threshold
+    threshold, header, fp_array = tree.threshold, tree.header, tree.fp_array
     # Least-frequent items first: their conditional trees are smallest.
-    for entry in reversed(tree.header):
+    for position in reversed(range(len(header))):
+        entry = header[position]
         extended = tuple(sorted(suffix + (entry.item,)))
         out.append(FrequentItemset(extended, entry.total))
         # Count the pattern base before building it: most bases hold no
         # item that reaches the threshold, and then nothing else is done.
-        header = _header(_base_totals(tree, entry).items(), threshold)
-        if header:
-            conditional = _build_tree(_pattern_base(tree, entry), header,
+        # The top tree counted every base while it was built.
+        if fp_array is None:
+            totals = _base_totals(tree, entry).items()
+        else:
+            totals = [(header[q].item, count) for q, count in fp_array[position]]
+        base_header = _header(totals, threshold)
+        if base_header:
+            conditional = _build_tree(_pattern_base(tree, entry), base_header,
                                       threshold)
             _mine(conditional, extended, out)
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from basketminer import cli
+from basketminer import cli, pairs
 from basketminer.apriori import apriori_mine
 from basketminer.core import (
     MiningParams,
@@ -80,8 +80,10 @@ def test_criterion_2_frequent_itemset_ground_truth(grocery_db):
     print("criterion 2 PASS: all three engines produce the 7 ground-truth itemsets")
 
 
-def test_criterion_3_cross_engine_equivalence():
-    started = perf_counter()
+def cross_engine_sweep():
+    """Apriori, FP-Growth and the oracle over 500 seeded random databases:
+    identical itemsets and rules at thresholds 1, N and a middle point.
+    Returns the number of threshold points compared."""
     rng = random.Random(20260814)
     comparisons = 0
     for index in range(500):
@@ -102,11 +104,28 @@ def test_criterion_3_cross_engine_equivalence():
                         in (from_apriori, from_fpgrowth, from_oracle)]
             assert rulesets[0] == rulesets[1] == rulesets[2]
             comparisons += 1
+    return comparisons
+
+
+def test_criterion_3_cross_engine_equivalence():
+    started = perf_counter()
+    comparisons = cross_engine_sweep()
     elapsed = perf_counter() - started
     assert comparisons >= 500
     assert elapsed < 60.0
     print(f"criterion 3 PASS: {comparisons} threshold points over 500 dbs, "
           f"three engines identical, in {elapsed:.1f}s")
+
+
+@pytest.mark.parametrize("covers_cheaper", [True, False],
+                         ids=["covers", "prefixes"])
+def test_cross_engine_equivalence_on_each_pair_path(monkeypatch, covers_cheaper):
+    # On the sweep's small databases the cost rule picks covers whenever
+    # there are two or more frequent items to pair; forcing the rule runs
+    # every database through each path.
+    monkeypatch.setattr(pairs, "_covers_cheaper",
+                        lambda rows, width: covers_cheaper)
+    assert cross_engine_sweep() >= 500
 
 
 @st.composite
@@ -216,6 +235,24 @@ def test_criterion_5_scale_smoke(capsys):
         (d.id_of("item_0001"), d.id_of("item_0002"), d.id_of("item_0003"))))
     assert planted in mined
     assert len(result) == 1004  # 1000 singles, the planted pairs, the triple
+    del tree
+
+    started = perf_counter()
+    from_apriori = apriori_mine(db, params)
+    apriori_elapsed = perf_counter() - started
+    assert apriori_elapsed < 30.0
+    assert from_apriori == result
+
+    # Untimed, since tracemalloc slows the build several times over. The
+    # peak measured 89.1 MiB on Python 3.10, 3.11 and 3.12.
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fp_growth_mine(build_fp_tree(db, threshold))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20, f"FP-Growth peaked at {peak / 2**20:.1f} MiB"
 
     code = cli.main(["bench", "--transactions", "2000", "--items", "100",
                      "--basket-max", "8", "--seed", "9",
@@ -229,7 +266,8 @@ def test_criterion_5_scale_smoke(capsys):
     for run in runs:
         assert run["total_seconds"] == \
             run["build_seconds"] + run["mine_seconds"]
-    print(f"criterion 5 PASS: 100k x 1000 FP-Growth mine in {elapsed:.1f}s; "
+    print(f"criterion 5 PASS: 100k x 1000 FP-Growth mine in {elapsed:.1f}s "
+          f"(peak {peak / 2**20:.1f} MiB), Apriori in {apriori_elapsed:.1f}s; "
           f"bench agreement gate held at 3 thresholds")
 
 

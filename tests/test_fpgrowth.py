@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from basketminer.apriori import apriori_mine
 from basketminer.core import (
@@ -12,8 +14,19 @@ from basketminer.core import (
     TransactionDb,
     support_count,
 )
-from basketminer.fpgrowth import build_fp_tree, fp_growth_mine, mine
-from helpers import as_pairs, db_from_ids, random_db
+from basketminer.fpgrowth import (
+    _build_tree,
+    _header,
+    build_fp_tree,
+    fp_growth_mine,
+    mine,
+)
+from helpers import as_pairs, db_from_ids, dict_insertion_tree, random_db, tree_paths
+
+# Weighted rows as conditional pattern bases hold them: item ids in any
+# order, each row with a positive weight.
+weighted_rows = st.lists(st.tuples(
+    st.lists(st.integers(0, 7), unique=True), st.integers(1, 4)), max_size=30)
 
 
 class TestBuildTree:
@@ -104,6 +117,69 @@ class TestBuildTree:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestSortedInsertion:
+    @settings(max_examples=150, deadline=None)
+    @given(rows=weighted_rows, threshold=st.integers(1, 6))
+    def test_builds_the_dict_insertion_tree(self, rows, threshold):
+        totals = {}
+        for items, weight in rows:
+            for item in items:
+                totals[item] = totals.get(item, 0) + weight
+        tree = _build_tree(rows, _header(totals.items(), threshold), threshold)
+        assert tree_paths(tree) == tree_paths(dict_insertion_tree(rows, threshold))
+        for node in range(1, tree.node_count):
+            assert tree.parent[node] < node
+
+    def test_top_tree_is_the_dict_insertion_tree(self):
+        rng = random.Random(12)
+        for _ in range(30):
+            db = random_db(rng, max_items=10, max_transactions=40)
+            threshold = rng.randint(1, db.n)
+            tree = build_fp_tree(db, threshold)
+            reference = dict_insertion_tree(
+                ((t, 1) for t in db.transactions), threshold)
+            assert tree_paths(tree) == tree_paths(reference)
+            assert tree.node_count == reference.node_count
+            for node in range(1, tree.node_count):
+                assert tree.parent[node] < node
+
+    @settings(max_examples=60, deadline=None)
+    @given(depth=st.integers(1, 6), data=st.data())
+    def test_single_path_found_for_any_insertion_order(self, depth, data):
+        # Prefixes of one path, weighted, in any order: every total differs
+        # from the next, so the header order is the path's own order.
+        prefixes = [(tuple(range(size)), 1) for size in range(1, depth + 1)]
+        rows = data.draw(st.permutations(prefixes))
+        tree = _build_tree(rows, _header(
+            [(item, depth - item) for item in range(depth)], 1), 1)
+        assert tree.single_path() == list(range(1, depth + 1))
+        assert [tree.count[node] for node in tree.single_path()] == \
+            [depth - item for item in range(depth)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=weighted_rows)
+    def test_single_path_agrees_with_the_reference(self, rows):
+        tree = dict_insertion_tree(rows, 1)
+        branching = len({tree.parent[node]
+                         for node in range(1, tree.node_count)}) \
+            < tree.node_count - 1
+        rebuilt = _build_tree(rows, tree.header, 1)
+        assert (rebuilt.single_path() is None) == branching
+
+    def test_fp_array_mines_as_the_walk_does(self):
+        rng = random.Random(14)
+        for _ in range(30):
+            db = random_db(rng, max_items=10, max_transactions=40)
+            threshold = rng.randint(1, db.n)
+            tree = build_fp_tree(db, threshold)
+            assert tree.fp_array is not None
+            walked = _build_tree(((t, 1) for t in db.transactions),
+                                 _header(db.item_frequencies().items(),
+                                         threshold), threshold)
+            assert walked.fp_array is None
+            assert fp_growth_mine(tree) == fp_growth_mine(walked)
 
 
 class TestMine:
