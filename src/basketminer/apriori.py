@@ -15,6 +15,8 @@ counting the pairs inside each transaction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, groupby
+from operator import itemgetter
 from typing import Sequence
 
 from .core import (
@@ -54,10 +56,12 @@ def candidate_gen(prev_level: Sequence[FrequentItemset]) -> CandidateSet:
     """Join frequent (k-1)-itemsets into pruned k-candidates.
 
     Self-join on the first k-2 items, then drop any candidate with a
-    (k-1)-subset missing from ``prev_level``. The two subsets that drop
-    the last or second-to-last item are the join parents themselves, so
-    only the k-2 others are looked up (none at k = 2). Output is
-    lexicographically ordered and duplicate-free by construction.
+    (k-1)-subset missing from ``prev_level``. Sorted, the itemsets sharing
+    a prefix form one run, and only pairs within a run are joined, so a
+    level costs the sum of its runs' squared lengths, not its own. The two
+    subsets that drop the last or second-to-last item are the join parents
+    themselves, so only the k-2 others are looked up (none at k = 2).
+    Output is lexicographically ordered and duplicate-free by construction.
     """
     if not prev_level:
         return CandidateSet(2, ())
@@ -67,17 +71,33 @@ def candidate_gen(prev_level: Sequence[FrequentItemset]) -> CandidateSet:
             f"candidate_gen requires uniform itemset sizes, got {sorted(sizes)}")
     k = sizes.pop() + 1
     prev_sets = {f.itemset for f in prev_level}
-    ordered = sorted(prev_sets)
     candidates = []
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1:]:
-            if a[:-1] != b[:-1]:
-                break  # sorted input: no later b shares this prefix either
-            candidate = a + (b[-1],)
-            if all(candidate[:j] + candidate[j + 1:] in prev_sets
-                   for j in range(k - 2)):
-                candidates.append(candidate)
+    for prefix, run in groupby(sorted(prev_sets), itemgetter(slice(0, -1))):
+        lasts = [itemset[-1] for itemset in run]
+        for i, a in enumerate(lasts):
+            for b in lasts[i + 1:]:
+                candidate = prefix + (a, b)
+                if all(candidate[:j] + candidate[j + 1:] in prev_sets
+                       for j in range(k - 2)):
+                    candidates.append(candidate)
     return CandidateSet(k, tuple(candidates))
+
+
+def _covers_of(rows: Sequence[tuple[int, ...]], width: int,
+               ranks: Sequence[int]) -> list[int]:
+    """``pairs.covers(rows, width)`` at ``ranks`` only, without setting the
+    bits of any other rank."""
+    size = (len(rows) + 7) // 8
+    bits: list[bytearray | None] = [None] * width
+    for r in ranks:
+        bits[r] = bytearray(size)
+    for tid, row in enumerate(rows):
+        byte, bit = tid >> 3, 1 << (tid & 7)
+        for r in row:
+            cover = bits[r]
+            if cover is not None:
+                cover[byte] |= bit
+    return [int.from_bytes(bits[r], "little") for r in ranks]
 
 
 def _count(covers: dict[int, int], candidate_set: CandidateSet,
@@ -104,16 +124,18 @@ def mine_levels(db: TransactionDb, singletons: Sequence[FrequentItemset],
     pair of singletons, so its table is C(F, 2) for F singletons; it is
     counted by ``pairs``' kernel over each transaction's frequent items,
     ranked by id. The levels above intersect covers, which are built once,
-    for the frequent singletons only: no candidate uses another item, and
-    memory stays at N/8 bytes per frequent item. When the kernel's cost
-    rule picks covers for level 2, those same covers serve the levels above.
+    N/8 bytes each. When the kernel's cost rule picks covers for level 2,
+    those same covers serve the levels above. Otherwise covers are built at
+    the first level with candidates, and only for the items those
+    candidates use: a later candidate joins frequent itemsets of the level
+    before, so it uses no other item.
     """
     items = sorted(f.itemset[0] for f in singletons)
     width = len(items)
+    rank = {item: position for position, item in enumerate(items)}
     if width == len(db.dictionary):
         rows = db.transactions  # every item is frequent: ids are the ranks
     else:
-        rank = {item: position for position, item in enumerate(items)}
         rows = [tuple([rank[i] for i in t if i in rank])
                 for t in db.transactions]
     # pairs.pair_counts' own choice, made here so that covers it builds
@@ -136,7 +158,9 @@ def mine_levels(db: TransactionDb, singletons: Sequence[FrequentItemset],
         if not candidate_set.candidates:
             break
         if not cover_of:
-            cover_of = dict(zip(items, pairs.covers(rows, width)))
+            used = sorted(set(chain.from_iterable(candidate_set.candidates)))
+            cover_of = dict(zip(used, _covers_of(
+                rows, width, [rank[item] for item in used])))
         level = _count(cover_of, candidate_set, threshold)
         result.extend(level)
     result.sort(key=lambda f: (len(f.itemset), f.itemset))

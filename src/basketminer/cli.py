@@ -41,6 +41,11 @@ EXIT_INGESTION = 3
 EXIT_GUARD = 4
 EXIT_DISAGREEMENT = 5
 
+# Written to stderr by ``mine --algorithm fpgrowth``; stdout is unchanged.
+FPGROWTH_DEPRECATION = ("warning: --algorithm fpgrowth is deprecated and will "
+                        "be removed; the default, apriori, gives the same "
+                        "output\n")
+
 RULE_TABLE_HEADER = ("People who bought this item",
                      "Also bought the following items",
                      "Support", "Confidence")
@@ -156,8 +161,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="relative support threshold in (0, 1]")
     mine.add_argument("--min-confidence", type=fraction_arg, required=True,
                       help="confidence threshold in (0, 1]")
-    mine.add_argument("--algorithm", choices=tuple(ENGINES), default="fpgrowth",
-                      help="mining engine (default fpgrowth)")
+    mine.add_argument("--algorithm", choices=tuple(ENGINES), default="apriori",
+                      help="mining engine (default apriori; fpgrowth is "
+                           "deprecated and will be removed)")
     mine.add_argument("--output", choices=("table", "csv", "json"),
                       default="table", help="output format (default table)")
     mine.add_argument("--max-antecedent", type=positive_int, default=None,
@@ -375,6 +381,8 @@ def rules_as_json(ruleset: RuleSet, db: TransactionDb, algorithm: str,
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
+    if args.algorithm == "fpgrowth":
+        sys.stderr.write(FPGROWTH_DEPRECATION)
     db = load_db(args.input, args.format, skip_header=args.skip_header,
                  min_items=args.min_items)
     params = MiningParams(min_support=args.min_support,

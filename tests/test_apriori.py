@@ -1,6 +1,8 @@
+import gc
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -88,9 +90,13 @@ class TestCandidateGen:
     @settings(max_examples=60, deadline=None)
     @given(k=st.integers(1, 4), data=st.data())
     def test_matches_join_with_every_subset_checked(self, k, data):
+        # Either a few itemsets over 7 items, or up to 150 over 16 items,
+        # which splits a sorted level into many runs that share a prefix.
+        universe, most = data.draw(st.sampled_from([(7, 20), (16, 150)]))
         level = data.draw(st.sets(
-            st.frozensets(st.integers(0, 6), min_size=k, max_size=k),
-            max_size=20))
+            st.frozensets(st.integers(0, universe - 1), min_size=k,
+                          max_size=k),
+            max_size=most))
         prev_sets = {tuple(sorted(s)) for s in level}
         # Every k+1 set of items whose k-subsets are all frequent, found
         # without the prefix join.
@@ -100,6 +106,30 @@ class TestCandidateGen:
                                 for sub in combinations(c, k)))
         result = candidate_gen([FrequentItemset(s, 1) for s in prev_sets])
         assert result.candidates == expected
+
+    def test_join_time_grows_with_runs_not_level(self):
+        # Itemsets (a, b, b + 1) with distinct prefixes (a, b): nothing
+        # joins, so the time should grow with the level, not its square.
+        # A join that scans the rest of the sorted level for each itemset
+        # reads a ratio of 120-135 here; the per-prefix join 13-15.
+        def level(size):
+            itemsets = ((a, b, b + 1) for a in range(1000)
+                        for b in range(a + 1, 1000))
+            return [FrequentItemset(s, 1)
+                    for s in islice(itemsets, size)]
+
+        def best_of_3(prev_level):
+            times = []
+            for _ in range(3):
+                gc.collect()
+                started = perf_counter()
+                result = candidate_gen(prev_level)
+                times.append(perf_counter() - started)
+            assert result.candidates == ()
+            return min(times)
+
+        ratio = best_of_3(level(30_000)) / best_of_3(level(3_000))
+        assert ratio < 40, f"10x the level took {ratio:.0f}x the time"
 
 
 class TestCountLevel:

@@ -198,6 +198,47 @@ class TestMine:
         assert first == second
 
 
+class TestDefaultEngine:
+    """``mine`` runs Apriori unless told otherwise; FP-Growth still prints
+    the same report but warns that it is deprecated."""
+
+    ARGV = ["--min-support", "1/7", "--min-confidence", "1/2",
+            "--show-itemsets"]
+
+    def mine(self, capsys, basket_path, *extra):
+        code, out, err = run_cli(
+            capsys, ["mine", "--input", str(basket_path)] + self.ARGV
+            + list(extra))
+        assert code == 0
+        return out, err
+
+    @pytest.mark.parametrize("output", ["table", "csv"])
+    def test_default_stdout_is_apriori_and_fpgrowth_stdout(
+            self, capsys, basket_path, output):
+        default, default_err = self.mine(capsys, basket_path,
+                                         "--output", output)
+        apriori, apriori_err = self.mine(capsys, basket_path, "--output",
+                                         output, "--algorithm", "apriori")
+        fpgrowth, fpgrowth_err = self.mine(capsys, basket_path, "--output",
+                                           output, "--algorithm", "fpgrowth")
+        assert default.count("\n") > 20
+        assert default == apriori == fpgrowth
+        assert default_err == apriori_err == ""
+        assert fpgrowth_err == cli.FPGROWTH_DEPRECATION
+        assert fpgrowth_err.count("\n") == 1 and "fpgrowth" in fpgrowth_err
+
+    def test_json_names_apriori_by_default(self, capsys, basket_path):
+        out, err = self.mine(capsys, basket_path, "--output", "json")
+        assert json.loads(out)["params"]["algorithm"] == "apriori"
+        assert err == ""
+
+    def test_help_names_the_default(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["mine", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "(default apriori; fpgrowth is deprecated" in text
+
+
 class TestStreamedInput:
     @pytest.mark.parametrize("fixture, flags", [
         ("basket_path", []),
@@ -396,7 +437,7 @@ class TestRenderers:
         shown = frequents if show_itemsets else None
         expected = (reference_table(ruleset, grocery_db, shown)
                     if output == "table" else
-                    reference_json(ruleset, grocery_db, "fpgrowth", shown))
+                    reference_json(ruleset, grocery_db, "apriori", shown))
         assert out == expected
 
     @settings(max_examples=60, deadline=None)
