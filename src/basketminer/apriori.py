@@ -83,23 +83,6 @@ def candidate_gen(prev_level: Sequence[FrequentItemset]) -> CandidateSet:
     return CandidateSet(k, tuple(candidates))
 
 
-def _covers_of(rows: Sequence[tuple[int, ...]], width: int,
-               ranks: Sequence[int]) -> list[int]:
-    """``pairs.covers(rows, width)`` at ``ranks`` only, without setting the
-    bits of any other rank."""
-    size = (len(rows) + 7) // 8
-    bits: list[bytearray | None] = [None] * width
-    for r in ranks:
-        bits[r] = bytearray(size)
-    for tid, row in enumerate(rows):
-        byte, bit = tid >> 3, 1 << (tid & 7)
-        for r in row:
-            cover = bits[r]
-            if cover is not None:
-                cover[byte] |= bit
-    return [int.from_bytes(bits[r], "little") for r in ranks]
-
-
 def _count(covers: dict[int, int], candidate_set: CandidateSet,
            threshold: int) -> list[FrequentItemset]:
     """Candidates whose covers' intersection holds >= ``threshold`` tids."""
@@ -159,7 +142,7 @@ def mine_levels(db: TransactionDb, singletons: Sequence[FrequentItemset],
             break
         if not cover_of:
             used = sorted(set(chain.from_iterable(candidate_set.candidates)))
-            cover_of = dict(zip(used, _covers_of(
+            cover_of = dict(zip(used, pairs.covers_of(
                 rows, width, [rank[item] for item in used])))
         level = _count(cover_of, candidate_set, threshold)
         result.extend(level)

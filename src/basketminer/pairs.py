@@ -73,6 +73,28 @@ def covers(rows: Sequence[Row], width: int) -> list[int]:
     return [int.from_bytes(cover, "little") for cover in bits]
 
 
+def covers_of(rows: Sequence[Row], width: int,
+              wanted: Sequence[int]) -> list[int]:
+    """``[covers(rows, width)[p] for p in wanted]``, without building the
+    covers of the other ints.
+
+    A separate loop from ``covers``, because testing each int for a wanted
+    cover would make ``covers`` 10-20% slower where it builds them all
+    (measured on the dense benchmark input).
+    """
+    size = (len(rows) + 7) // 8
+    bits: list[bytearray | None] = [None] * width
+    for p in wanted:
+        bits[p] = bytearray(size)
+    for tid, row in enumerate(rows):
+        byte, bit = tid >> 3, 1 << (tid & 7)
+        for p in row:
+            cover = bits[p]
+            if cover is not None:
+                cover[byte] |= bit
+    return [int.from_bytes(bits[p], "little") for p in wanted]
+
+
 def count_by_covers(covers: Sequence[int], threshold: int) -> PairCounts:
     """``pair_counts`` from each int's cover."""
     found: PairCounts = []

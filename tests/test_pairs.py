@@ -32,6 +32,10 @@ def test_each_path_matches_brute_force(n, data):
     assert by_covers == expected
     assert by_prefixes == expected
     assert pair_counts(rows, width, threshold) == expected
+    wanted = data.draw(st.lists(st.integers(0, max(width - 1, 0)),
+                                unique=True, max_size=width), label="wanted")
+    every = covers(rows, width)
+    assert pairs.covers_of(rows, width, wanted) == [every[p] for p in wanted]
 
 
 @pytest.mark.parametrize("n", BOUNDARY_NS)
