@@ -44,7 +44,7 @@ EXIT_DISAGREEMENT = 5
 # Written to stderr by ``mine --algorithm fpgrowth``; stdout is unchanged.
 FPGROWTH_DEPRECATION = ("warning: --algorithm fpgrowth is deprecated and will "
                         "be removed; the default, apriori, gives the same "
-                        "output\n")
+                        "itemsets and rules\n")
 
 RULE_TABLE_HEADER = ("People who bought this item",
                      "Also bought the following items",

@@ -1,5 +1,7 @@
 import csv
 import gc
+import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -35,6 +37,7 @@ GOLDEN_TABLE = (
 )
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+PERFBENCH = PYPROJECT.parent / "perfbench"
 
 PAPER_FLAGS = ["--min-support", "0.42", "--min-confidence", "0.8",
                "--max-antecedent", "1"]
@@ -237,6 +240,40 @@ class TestDefaultEngine:
             cli.main(["mine", "--help"])
         text = " ".join(capsys.readouterr().out.split())
         assert "(default apriori; fpgrowth is deprecated" in text
+
+
+class TestBenchmarkPins:
+    """Seed 0 of each benchmark workload, mined in process, prints the
+    stdout pinned in ``perfbench/pins.json``: by the default engine, and by
+    deprecated FP-Growth on the two workloads that run the default, until
+    that engine is removed."""
+
+    @pytest.fixture(scope="class")
+    def workloads(self):
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", PERFBENCH / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        # Its dataclasses look their module up while they are made.
+        sys.modules[spec.name] = module
+        spec.loader.exec_module(module)
+        return module
+
+    @pytest.mark.parametrize("name, extra", [
+        ("sparse", []), ("dense", []), ("quest", []),
+        ("sparse", ["--algorithm", "fpgrowth"]),
+        ("dense", ["--algorithm", "fpgrowth"])],
+        ids=["sparse", "dense", "quest", "sparse-fpgrowth", "dense-fpgrowth"])
+    def test_seed_0_stdout_matches_the_pin(self, capsys, tmp_path, workloads,
+                                           name, extra):
+        pins = json.loads((PERFBENCH / "pins.json").read_text(encoding="utf-8"))
+        workload = workloads.WORKLOADS[name]
+        source = workloads.write_input(workload, pins["seed"], tmp_path)
+        assert source.sha256 == pins["input_sha256"][name]
+        code, out, _ = run_cli(capsys, ["mine", "--input", str(source.path),
+                                        *workload.mine_args, *extra])
+        assert code == 0
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == pins["stdout_sha256"][name]
 
 
 class TestStreamedInput:
