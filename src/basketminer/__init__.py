@@ -1,13 +1,13 @@
 """Frequent-itemset and association-rule mining over market-basket data.
 
-Three interchangeable engines (Apriori, FP-Growth, and a brute-force
-oracle for small universes) mine the same frequent itemsets from the
-same transactions; rules are scored with exact rational support and
-confidence. See the ``basketminer`` CLI for file-based use.
+Three interchangeable engines (Apriori, the default; FP-Growth, deprecated;
+and a brute-force oracle for small universes) mine the same frequent
+itemsets from the same transactions; rules are scored with exact rational
+support and confidence. See the ``basketminer`` CLI's ``mine`` and ``gen``
+subcommands for file-based use.
 """
 
 from .apriori import apriori_mine
-from .bench import BenchmarkReport, EngineDisagreementError, EngineRun, benchmark
 from .core import (
     AssociationRule,
     ConfigError,
@@ -41,13 +41,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssociationRule",
-    "BenchmarkReport",
     "ConfigError",
     "ContractViolationError",
     "DomainError",
     "EmptyInputError",
-    "EngineDisagreementError",
-    "EngineRun",
     "FpTree",
     "FrequentItemset",
     "GeneratorConfig",
@@ -62,7 +59,6 @@ __all__ = [
     "RuleSet",
     "TransactionDb",
     "apriori_mine",
-    "benchmark",
     "brute_force_mine",
     "build_fp_tree",
     "filter_min_items",

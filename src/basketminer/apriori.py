@@ -105,11 +105,11 @@ def mine_levels(db: TransactionDb, singletons: Sequence[FrequentItemset],
     The peak is the largest candidate table built at any level, the
     benchmark-visible cost of candidate generation. Level 2 joins every
     pair of singletons, so its table is C(F, 2) for F singletons; it is
-    counted by ``pairs``' kernel over each transaction's frequent items,
-    ranked by id. The levels above intersect covers, which are built once,
-    N/8 bytes each. When the kernel's cost rule picks covers for level 2,
-    those same covers serve the levels above. Otherwise covers are built at
-    the first level with candidates, and only for the items those
+    counted by ``pairs.pair_counts`` over each transaction's frequent
+    items, ranked by id. The levels above intersect covers, which are built
+    once, N/8 bytes each. When the kernel's cost rule picks covers for level
+    2, it returns them, and they serve the levels above. Otherwise covers are
+    built at the first level with candidates, and only for the items those
     candidates use: a later candidate joins frequent itemsets of the level
     before, so it uses no other item.
     """
@@ -121,15 +121,8 @@ def mine_levels(db: TransactionDb, singletons: Sequence[FrequentItemset],
     else:
         rows = [tuple([rank[i] for i in t if i in rank])
                 for t in db.transactions]
-    # pairs.pair_counts' own choice, made here so that covers it builds
-    # for level 2 serve the levels above too.
-    cover_of: dict[int, int] = {}
-    if pairs._covers_cheaper(rows, width):
-        covers = pairs.covers(rows, width)
-        cover_of = dict(zip(items, covers))
-        counted = pairs.count_by_covers(covers, threshold)
-    else:
-        counted = pairs.count_by_prefixes(rows, width, threshold)
+    counted, covers = pairs.pair_counts(rows, width, threshold)
+    cover_of = dict(zip(items, covers)) if covers is not None else {}
     level = [FrequentItemset((items[q], items[p]), count)
              for p, found in enumerate(counted) for q, count in found]
     result = list(singletons)

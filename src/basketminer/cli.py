@@ -1,8 +1,7 @@
-"""Command-line interface: ``mine``, ``gen``, and ``bench`` subcommands.
+"""Command-line interface: ``mine`` and ``gen`` subcommands.
 
 Exit codes: 0 success, 2 bad flags or config, 3 ingestion failure,
-4 guard refusal (brute force on an oversized universe), 5 engine
-disagreement during a benchmark.
+4 guard refusal (brute force on an oversized universe).
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .bench import ENGINES, BenchmarkReport, EngineDisagreementError, benchmark
+from .apriori import apriori_mine
 from .core import (
     ConfigError,
     FrequentItemset,
@@ -32,14 +31,25 @@ from .core import (
     read_lines,
     to_basket_text,
 )
-from .oracle import GeneratorConfig, generate_db
+from .fpgrowth import mine as fpgrowth_mine
+from .oracle import GeneratorConfig, brute_force_mine, generate_db
 from .rules import RuleSet, generate_rules, whole_percent
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INGESTION = 3
 EXIT_GUARD = 4
-EXIT_DISAGREEMENT = 5
+
+# Each engine by its ``mine --algorithm`` name. ``apriori_mine`` and
+# ``fpgrowth_mine`` look their phase functions up on their modules at call
+# time, so a caller that replaces a phase (as a tracer does) reaches it
+# through this table too.
+ENGINES: dict[str, Callable[[TransactionDb, MiningParams],
+                            list[FrequentItemset]]] = {
+    "apriori": apriori_mine,
+    "fpgrowth": fpgrowth_mine,
+    "bruteforce": brute_force_mine,
+}
 
 # Written to stderr by ``mine --algorithm fpgrowth``; stdout is unchanged.
 FPGROWTH_DEPRECATION = ("warning: --algorithm fpgrowth is deprecated and will "
@@ -103,49 +113,6 @@ def pattern_arg(text: str) -> tuple[tuple[str, ...], float]:
     return labels, probability
 
 
-def algorithms_arg(text: str) -> tuple[str, ...]:
-    names = tuple(part.strip() for part in text.split(",") if part.strip())
-    if not names:
-        raise argparse.ArgumentTypeError("no algorithms given")
-    for name in names:
-        if name not in ENGINES:
-            raise argparse.ArgumentTypeError(
-                f"unknown algorithm {name!r}; choose from "
-                f"{', '.join(ENGINES)}")
-    return names
-
-
-def thresholds_arg(text: str) -> tuple[Fraction, ...]:
-    parts = [part.strip() for part in text.split(",") if part.strip()]
-    if not parts:
-        raise argparse.ArgumentTypeError("no thresholds given")
-    return tuple(fraction_arg(part) for part in parts)
-
-
-def add_generator_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--transactions", type=positive_int, default=100,
-                        help="number of baskets to generate (default 100)")
-    parser.add_argument("--items", type=positive_int, default=20,
-                        help="universe size (default 20)")
-    parser.add_argument("--basket-min", type=positive_int, default=1,
-                        help="minimum basket size (default 1)")
-    parser.add_argument("--basket-max", type=positive_int, default=8,
-                        help="maximum basket size (default 8)")
-    parser.add_argument("--pattern", action="append", type=pattern_arg,
-                        default=[], metavar="ITEMS:PROB",
-                        help='planted pattern, e.g. "milk,bread:0.4"; '
-                             "repeatable")
-    parser.add_argument("--seed", type=nonnegative_int, default=0,
-                        help="RNG seed (default 0)")
-
-
-def add_format_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("basket", "tidpairs"),
-                        default="basket", help="input encoding (default basket)")
-    parser.add_argument("--skip-header", action="store_true",
-                        help="skip the first line of a tidpairs file")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="basketminer",
@@ -156,7 +123,10 @@ def build_parser() -> argparse.ArgumentParser:
     mine = subparsers.add_parser(
         "mine", help="mine association rules from a transaction file")
     mine.add_argument("--input", required=True, help="transaction file path")
-    add_format_flags(mine)
+    mine.add_argument("--format", choices=("basket", "tidpairs"),
+                      default="basket", help="input encoding (default basket)")
+    mine.add_argument("--skip-header", action="store_true",
+                      help="skip the first line of a tidpairs file")
     mine.add_argument("--min-support", type=fraction_arg, required=True,
                       help="relative support threshold in (0, 1]")
     mine.add_argument("--min-confidence", type=fraction_arg, required=True,
@@ -176,33 +146,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = subparsers.add_parser(
         "gen", help="generate a synthetic basket file")
-    add_generator_flags(gen)
+    gen.add_argument("--transactions", type=positive_int, default=100,
+                     help="number of baskets to generate (default 100)")
+    gen.add_argument("--items", type=positive_int, default=20,
+                     help="universe size (default 20)")
+    gen.add_argument("--basket-min", type=positive_int, default=1,
+                     help="minimum basket size (default 1)")
+    gen.add_argument("--basket-max", type=positive_int, default=8,
+                     help="maximum basket size (default 8)")
+    gen.add_argument("--pattern", action="append", type=pattern_arg,
+                     default=[], metavar="ITEMS:PROB",
+                     help='planted pattern, e.g. "milk,bread:0.4"; repeatable')
+    gen.add_argument("--seed", type=nonnegative_int, default=0,
+                     help="RNG seed (default 0)")
     gen.add_argument("--output", default="-",
                      help="output path, - for stdout (default -)")
     gen.set_defaults(func=cmd_gen)
 
-    bench_parser = subparsers.add_parser(
-        "bench", help="time the engines against each other")
-    bench_parser.add_argument("--input", default=None,
-                              help="transaction file; omit to use the "
-                                   "generator")
-    add_format_flags(bench_parser)
-    add_generator_flags(bench_parser)
-    bench_parser.add_argument("--thresholds", type=thresholds_arg,
-                              default=thresholds_arg("0.02,0.05,0.1,0.2"),
-                              help="comma-separated min-support values "
-                                   '(default "0.02,0.05,0.1,0.2")')
-    bench_parser.add_argument("--algorithms", type=algorithms_arg,
-                              default=("apriori", "fpgrowth"),
-                              help='comma-separated engines (default '
-                                   '"apriori,fpgrowth")')
-    bench_parser.add_argument("--repeat", type=positive_int, default=3,
-                              help="runs per pair; the fastest is reported "
-                                   "(default 3)")
-    bench_parser.add_argument("--output", choices=("table", "json"),
-                              default="table",
-                              help="output format (default table)")
-    bench_parser.set_defaults(func=cmd_bench)
     return parser
 
 
@@ -246,10 +206,6 @@ def ratio_object(part: int, whole: int) -> dict:
     divisor = math.gcd(part, whole)
     return {"num": part // divisor, "den": whole // divisor,
             "decimal": part / whole}
-
-
-def fraction_object(value: Fraction) -> dict:
-    return ratio_object(value.numerator, value.denominator)
 
 
 def percent_text(part: int, whole: int) -> str:
@@ -401,17 +357,13 @@ def cmd_mine(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def generator_config(args: argparse.Namespace) -> GeneratorConfig:
-    return GeneratorConfig(
+def cmd_gen(args: argparse.Namespace) -> int:
+    config = GeneratorConfig(
         num_transactions=args.transactions,
         universe_size=args.items,
         basket_size_range=(args.basket_min, args.basket_max),
         patterns=tuple(args.pattern),
         seed=args.seed)
-
-
-def cmd_gen(args: argparse.Namespace) -> int:
-    config = generator_config(args)
     db = generate_db(config)
     text = to_basket_text(db)
     if args.output == "-":
@@ -427,70 +379,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def bench_as_table(report: BenchmarkReport) -> str:
-    columns = ("algorithm", "min_support", "abs", "build_s", "mine_s",
-               "total_s", "peak", "itemsets")
-    rows = [(run.algorithm,
-             f"{float(run.threshold):g}",
-             str(run.absolute_threshold),
-             f"{run.build_seconds:.6f}",
-             f"{run.mine_seconds:.6f}",
-             f"{run.total_seconds:.6f}",
-             str(run.peak_structure),
-             str(run.frequent_itemsets))
-            for run in report.runs]
-    header = (f"dataset: {report.dataset}\n"
-              f"repeat: {report.repeat} (fastest run reported)\n")
-    return header + render_table(columns, rows)
-
-
-def bench_as_json(report: BenchmarkReport) -> str:
-    payload = {
-        "dataset": report.dataset,
-        "repeat": report.repeat,
-        "runs": [
-            {
-                "algorithm": run.algorithm,
-                "min_support": fraction_object(run.threshold),
-                "absolute_threshold": run.absolute_threshold,
-                "build_seconds": run.build_seconds,
-                "mine_seconds": run.mine_seconds,
-                "total_seconds": run.total_seconds,
-                "peak_structure": run.peak_structure,
-                "frequent_itemsets": run.frequent_itemsets,
-            }
-            for run in report.runs
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    if args.input is not None:
-        db = load_db(args.input, args.format, skip_header=args.skip_header)
-        dataset = f"{args.input} (N={db.n}, items={len(db.dictionary)})"
-    else:
-        config = generator_config(args)
-        db = generate_db(config)
-        dataset = (f"generated seed={config.seed} (N={db.n}, "
-                   f"items={len(db.dictionary)})")
-    report = benchmark(db, args.thresholds, args.algorithms, args.repeat,
-                       dataset)
-    if args.output == "json":
-        sys.stdout.write(bench_as_json(report))
-    else:
-        sys.stdout.write(bench_as_table(report))
-    return EXIT_OK
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except EngineDisagreementError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DISAGREEMENT
     except GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD

@@ -186,8 +186,9 @@ def build_fp_tree(db: TransactionDb, threshold: int) -> FpTree:
     rank = _ranks(header)
     rows = [tuple(sorted([rank[i] for i in t if i in rank]))
             for t in db.transactions]
-    # Pairs first: what counting them holds is freed before the tree grows.
-    fp_array = pair_counts(rows, len(header), threshold)
+    # Pairs first: what counting them holds, the covers included, is freed
+    # before the tree grows.
+    fp_array = pair_counts(rows, len(header), threshold)[0]
     tree = _insert_sorted(Counter(rows), header, threshold)
     tree.fp_array = fp_array
     return tree

@@ -18,7 +18,8 @@ two ways:
   row, Σ C(|row|, 2) in all.
 
 A cost rule picks whichever does less: covers win on dense data (few ints,
-long rows), prefixes on sparse data (many ints, few pairs per row).
+long rows), prefixes on sparse data (many ints, few pairs per row). The
+covers it builds come back with the counts, for Apriori's levels above 2.
 """
 
 from __future__ import annotations
@@ -41,15 +42,19 @@ PairCounts = list[list[tuple[int, int]]]
 _WORDS_PER_PAIR = 16
 
 
-def pair_counts(rows: Sequence[Row], width: int, threshold: int) -> PairCounts:
+def pair_counts(rows: Sequence[Row], width: int,
+                threshold: int) -> tuple[PairCounts, list[int] | None]:
     """For each p below ``width``, the (q, count) pairs with q < p that
-    occur together in at least ``threshold`` of ``rows``.
+    occur together in at least ``threshold`` of ``rows``; and the
+    ``covers(rows, width)`` counted to find them, or None when the cost
+    rule counted by prefixes.
 
     Each row is an ascending tuple of ints below ``width``.
     """
     if _covers_cheaper(rows, width):
-        return count_by_covers(covers(rows, width), threshold)
-    return count_by_prefixes(rows, width, threshold)
+        built = covers(rows, width)
+        return count_by_covers(built, threshold), built
+    return count_by_prefixes(rows, width, threshold), None
 
 
 def _covers_cheaper(rows: Sequence[Row], width: int) -> bool:

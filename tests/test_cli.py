@@ -17,10 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import basketminer
-import basketminer.bench as bench_module
 from basketminer import cli
 from basketminer.core import (
-    FrequentItemset,
     ItemDictionary,
     MiningParams,
     TransactionDb,
@@ -240,6 +238,29 @@ class TestDefaultEngine:
             cli.main(["mine", "--help"])
         text = " ".join(capsys.readouterr().out.split())
         assert "(default apriori; fpgrowth is deprecated" in text
+
+
+class TestSubcommands:
+    """``mine`` and ``gen`` are the whole CLI: engine timing lives in
+    ``perfbench/`` and engine agreement in the acceptance tests."""
+
+    def test_bench_is_not_a_subcommand(self):
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(["bench"])
+        assert exc_info.value.code == 2
+
+    def test_package_exports_no_benchmark_names(self):
+        for name in ("benchmark", "BenchmarkReport", "EngineRun",
+                     "EngineDisagreementError"):
+            assert name not in basketminer.__all__
+            assert not hasattr(basketminer, name)
+
+    def test_engines_are_the_algorithm_choices(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["mine", "--help"])
+        assert "--algorithm {apriori,fpgrowth,bruteforce}" \
+            in capsys.readouterr().out
+        assert list(cli.ENGINES) == ["apriori", "fpgrowth", "bruteforce"]
 
 
 class TestBenchmarkPins:
@@ -561,65 +582,6 @@ class TestGen:
             "gen", "--output", str(tmp_path / "missing-dir" / "x.basket")])
         assert code == 3
         assert "cannot write" in err
-
-
-class TestBench:
-    def test_json_report_fields(self, capsys):
-        code, out, _ = run_cli(capsys, [
-            "bench", "--transactions", "300", "--items", "15", "--seed", "2",
-            "--thresholds", "0.05,0.2", "--algorithms", "apriori,fpgrowth",
-            "--repeat", "1", "--output", "json"])
-        assert code == 0
-        report = json.loads(out)
-        assert len(report["runs"]) == 4
-        for run in report["runs"]:
-            assert run["total_seconds"] == \
-                run["build_seconds"] + run["mine_seconds"]
-        by_threshold = {}
-        for run in report["runs"]:
-            key = (run["min_support"]["num"], run["min_support"]["den"])
-            by_threshold.setdefault(key, set()).add(run["frequent_itemsets"])
-        assert all(len(counts) == 1 for counts in by_threshold.values())
-
-    def test_table_report(self, capsys, basket_path):
-        code, out, _ = run_cli(capsys, [
-            "bench", "--input", str(basket_path), "--thresholds", "3/7",
-            "--repeat", "1"])
-        assert code == 0
-        assert out.splitlines()[0].startswith("dataset: ")
-        assert str(basket_path) in out
-        assert "algorithm" in out
-
-    def test_tidpairs_input_matches_basket(self, capsys, basket_path,
-                                           pairs_path):
-        argv = ["bench", "--thresholds", "3/7,4/7", "--repeat", "1",
-                "--output", "json", "--input"]
-        code, out, _ = run_cli(capsys, argv + [
-            str(pairs_path), "--format", "tidpairs", "--skip-header"])
-        assert code == 0
-        from_pairs = json.loads(out)
-        assert "(N=7, items=4)" in from_pairs["dataset"]
-        _, out, _ = run_cli(capsys, argv + [str(basket_path)])
-        from_basket = json.loads(out)
-        assert [run["frequent_itemsets"] for run in from_pairs["runs"]] == \
-            [run["frequent_itemsets"] for run in from_basket["runs"]] == \
-            [7, 7, 4, 4]
-
-    def test_disagreement_exits_5(self, capsys, monkeypatch, basket_path):
-        def broken(db, params):
-            return [FrequentItemset((0,), db.n)]
-
-        monkeypatch.setattr(bench_module, "brute_force_mine", broken)
-        code, out, err = run_cli(capsys, [
-            "bench", "--input", str(basket_path), "--thresholds", "3/7",
-            "--algorithms", "apriori,bruteforce", "--repeat", "1"])
-        assert code == 5
-        assert "disagree" in err
-
-    def test_unknown_algorithm_exits_2(self):
-        with pytest.raises(SystemExit) as exc_info:
-            cli.main(["bench", "--algorithms", "apriori,eclat"])
-        assert exc_info.value.code == 2
 
 
 def entry_point_command():

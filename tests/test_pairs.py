@@ -31,10 +31,12 @@ def test_each_path_matches_brute_force(n, data):
     by_covers, by_prefixes = both_paths(rows, width, threshold)
     assert by_covers == expected
     assert by_prefixes == expected
-    assert pair_counts(rows, width, threshold) == expected
+    every = covers(rows, width)
+    counted, built = pair_counts(rows, width, threshold)
+    assert counted == expected
+    assert built == (every if pairs._covers_cheaper(rows, width) else None)
     wanted = data.draw(st.lists(st.integers(0, max(width - 1, 0)),
                                 unique=True, max_size=width), label="wanted")
-    every = covers(rows, width)
     assert pairs.covers_of(rows, width, wanted) == [every[p] for p in wanted]
 
 
