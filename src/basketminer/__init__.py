@@ -1,10 +1,12 @@
 """Frequent-itemset and association-rule mining over market-basket data.
 
-Three interchangeable engines (Apriori, the default; FP-Growth, deprecated;
-and a brute-force oracle for small universes) mine the same frequent
-itemsets from the same transactions; rules are scored with exact rational
-support and confidence. See the ``basketminer`` CLI's ``mine`` and ``gen``
-subcommands for file-based use.
+Apriori and a brute-force oracle for small universes mine the same
+frequent itemsets from the same transactions; rules are scored with exact
+rational support and confidence. See the ``basketminer`` CLI's ``mine``
+and ``gen`` subcommands for file-based use. FP-Growth (``fpgrowth_mine``,
+``build_fp_tree``, ``fp_growth_mine``, ``FpTree``) is exported for library
+use only, until the benchmark in ``perfbench/`` stops importing it; it is
+no longer a ``mine --algorithm`` choice.
 """
 
 from .apriori import apriori_mine

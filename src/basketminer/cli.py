@@ -31,7 +31,6 @@ from .core import (
     read_lines,
     to_basket_text,
 )
-from .fpgrowth import mine as fpgrowth_mine
 from .oracle import GeneratorConfig, brute_force_mine, generate_db
 from .rules import RuleSet, generate_rules, whole_percent
 
@@ -40,21 +39,14 @@ EXIT_USAGE = 2
 EXIT_INGESTION = 3
 EXIT_GUARD = 4
 
-# Each engine by its ``mine --algorithm`` name. ``apriori_mine`` and
-# ``fpgrowth_mine`` look their phase functions up on their modules at call
-# time, so a caller that replaces a phase (as a tracer does) reaches it
-# through this table too.
+# Each engine by its ``mine --algorithm`` name. ``apriori_mine`` looks its
+# phase functions up on its module at call time, so a caller that replaces
+# a phase (as a tracer does) reaches it through this table too.
 ENGINES: dict[str, Callable[[TransactionDb, MiningParams],
                             list[FrequentItemset]]] = {
     "apriori": apriori_mine,
-    "fpgrowth": fpgrowth_mine,
     "bruteforce": brute_force_mine,
 }
-
-# Written to stderr by ``mine --algorithm fpgrowth``; stdout is unchanged.
-FPGROWTH_DEPRECATION = ("warning: --algorithm fpgrowth is deprecated and will "
-                        "be removed; the default, apriori, gives the same "
-                        "itemsets and rules\n")
 
 RULE_TABLE_HEADER = ("People who bought this item",
                      "Also bought the following items",
@@ -132,8 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--min-confidence", type=fraction_arg, required=True,
                       help="confidence threshold in (0, 1]")
     mine.add_argument("--algorithm", choices=tuple(ENGINES), default="apriori",
-                      help="mining engine (default apriori; fpgrowth is "
-                           "deprecated and will be removed)")
+                      help="mining engine (default apriori)")
     mine.add_argument("--output", choices=("table", "csv", "json"),
                       default="table", help="output format (default table)")
     mine.add_argument("--max-antecedent", type=positive_int, default=None,
@@ -337,8 +328,6 @@ def rules_as_json(ruleset: RuleSet, db: TransactionDb, algorithm: str,
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
-    if args.algorithm == "fpgrowth":
-        sys.stderr.write(FPGROWTH_DEPRECATION)
     db = load_db(args.input, args.format, skip_header=args.skip_header,
                  min_items=args.min_items)
     params = MiningParams(min_support=args.min_support,

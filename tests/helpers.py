@@ -1,11 +1,15 @@
 """Shared test utilities: direct db builders, the uncached reference
-parsers that ingest is checked and timed against, and the references that
-pair counting and FP-tree building are checked against."""
+parsers that ingest is checked and timed against, the reference that pair
+counting is checked against, and perfbench's independent miner."""
 
 from __future__ import annotations
 
+import importlib.util
 import random
-from collections import Counter
+import sys
+from functools import cache
+from pathlib import Path
+from types import ModuleType
 from typing import Iterable, Sequence
 
 from basketminer.core import (
@@ -14,7 +18,8 @@ from basketminer.core import (
     ItemDictionary,
     TransactionDb,
 )
-from basketminer.fpgrowth import FpTree, WeightedRow, _header
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def db_from_ids(transactions: Iterable[Sequence[int]], n_items: int) -> TransactionDb:
@@ -100,54 +105,32 @@ def brute_pair_counts(rows, width, threshold):
     return found
 
 
-def dict_insertion_tree(rows: Iterable[WeightedRow], threshold: int) -> FpTree:
-    """The FP tree of weighted ``rows``, built one row at a time with a
-    child dict keyed by ``parent * width + rank``: FP-Growth's own builder
-    before it inserted sorted paths."""
-    rows = list(rows)
-    totals = Counter()
-    for items, weight in rows:
-        for item in items:
-            totals[item] += weight
-    header = _header(totals.items(), threshold)
-    tree = FpTree(threshold)
-    tree.header = header
-    width = len(header)
-    by_rank = [entry.item for entry in header]
-    rank = {item: position for position, item in enumerate(by_rank)}
-    heads = [0] * width
-    children = {}
-    for items, weight in rows:
-        node = 0
-        for position in sorted([rank[i] for i in items if i in rank]):
-            key = node * width + position
-            child = children.get(key)
-            if child is None:
-                child = len(tree.item)
-                children[key] = child
-                tree.item.append(by_rank[position])
-                tree.count.append(weight)
-                tree.parent.append(node)
-                tree.next_same_item.append(heads[position])
-                heads[position] = child
-            else:
-                tree.count[child] += weight
-            node = child
-    for entry, head in zip(header, heads):
-        entry.head = head
-    return tree
+@cache
+def load_perfbench(name: str) -> ModuleType:
+    """``perfbench/<name>.py``, loaded by file path: ``perfbench`` is a
+    directory of scripts, not a package."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up while they are made.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
-def tree_paths(tree: FpTree) -> Counter:
-    """The multiset of (root-to-node item path, count) over the tree's
-    nodes, the root excepted: equal for two trees exactly when they are
-    the same tree, however their nodes are numbered."""
-    paths = Counter()
-    for node in range(1, tree.node_count):
-        path = []
-        ancestor = node
-        while ancestor:
-            path.append(tree.item[ancestor])
-            ancestor = tree.parent[ancestor]
-        paths[tuple(reversed(path)), tree.count[node]] += 1
-    return paths
+def labelled_counts(db: TransactionDb, frequents) -> dict:
+    """``frequents`` as perfbench's reference miner reports itemsets:
+    sorted label tuples mapped to their counts."""
+    labels = [item.label for item in db.dictionary]
+    return {tuple(sorted([labels[i] for i in f.itemset])): f.count
+            for f in frequents}
+
+
+def reference_itemsets(db: TransactionDb, min_support) -> dict:
+    """Every frequent itemset of ``db`` by ``perfbench/reference.py``'s
+    bitset miner, which imports nothing from ``basketminer``."""
+    labels = [item.label for item in db.dictionary]
+    transactions = [frozenset([labels[i] for i in row])
+                    for row in db.transactions]
+    return load_perfbench("reference").frequent_itemsets(
+        transactions, min_support)

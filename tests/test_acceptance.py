@@ -31,7 +31,9 @@ from helpers import (
     as_pairs,
     basket_reference,
     db_from_ids,
+    labelled_counts,
     random_db,
+    reference_itemsets,
     tid_pairs_reference,
 )
 
@@ -56,7 +58,7 @@ def test_criterion_1_grocery_table_reproduction(capsys, basket_path):
     with open(basket_path, encoding="utf-8") as fh:
         db = ingest_basket(fh)
     params = MiningParams(Fraction(3, 7), Fraction(4, 5))
-    ruleset = generate_rules(fpgrowth_mine(db, params), db, params,
+    ruleset = generate_rules(apriori_mine(db, params), db, params,
                              max_antecedent=1)
     by_label = {
         (db.dictionary.labels(r.antecedent), db.dictionary.labels(r.consequent)):
@@ -214,6 +216,26 @@ def test_criterion_4_invariant_suite():
     print("criterion 4 PASS: six spec invariants hold as property tests")
 
 
+def assert_matches_reference(db, frequents, want):
+    """``frequents`` holds exactly the itemsets and counts of ``want``, the
+    reference miner's result, once each and in (size, ids) order."""
+    assert len(frequents) == len(want)
+    assert labelled_counts(db, frequents) == want
+    assert frequents == sorted(frequents,
+                               key=lambda f: (len(f.itemset), f.itemset))
+
+
+def traced_peak(call) -> int:
+    """The tracemalloc peak of ``call()``, in bytes."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_criterion_5_scale_smoke():
     config = GeneratorConfig(
         num_transactions=100_000, universe_size=1000,
@@ -224,39 +246,38 @@ def test_criterion_5_scale_smoke():
 
     params = MiningParams(Fraction(1, 100), 1)
     threshold = params.absolute_threshold(db.n)
+    want = reference_itemsets(db, params.min_support)
+    assert ("item_0001", "item_0002", "item_0003") in want
+    assert len(want) == 1004  # 1000 singles, the planted pairs, the triple
+
     started = perf_counter()
     tree = build_fp_tree(db, threshold)
     result = fp_growth_mine(tree)
     elapsed = perf_counter() - started
     assert elapsed < 30.0
-    mined = {f.itemset for f in result}
-    d = db.dictionary
-    planted = tuple(sorted(
-        (d.id_of("item_0001"), d.id_of("item_0002"), d.id_of("item_0003"))))
-    assert planted in mined
-    assert len(result) == 1004  # 1000 singles, the planted pairs, the triple
-    del tree
+    assert_matches_reference(db, result, want)
+    del tree, result
 
     started = perf_counter()
     from_apriori = apriori_mine(db, params)
     apriori_elapsed = perf_counter() - started
     assert apriori_elapsed < 30.0
-    assert from_apriori == result
+    assert_matches_reference(db, from_apriori, want)
+    del from_apriori
 
-    # Untimed, since tracemalloc slows the build several times over. The
-    # peak measured 89.1 MiB on Python 3.10, 3.11 and 3.12.
-    gc.collect()
-    tracemalloc.start()
-    try:
-        fp_growth_mine(build_fp_tree(db, threshold))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    # Untimed, since tracemalloc slows mining several times over. The
+    # peaks measured 89.1 MiB for FP-Growth on Python 3.10, 3.11 and 3.12,
+    # and 13.6-13.7 MiB for Apriori on the same three.
+    peak = traced_peak(lambda: fp_growth_mine(build_fp_tree(db, threshold)))
     assert peak < 100 * 2**20, f"FP-Growth peaked at {peak / 2**20:.1f} MiB"
+    apriori_peak = traced_peak(lambda: apriori_mine(db, params))
+    assert apriori_peak < 20 * 2**20, \
+        f"Apriori peaked at {apriori_peak / 2**20:.1f} MiB"
 
     print(f"criterion 5 PASS: 100k x 1000 FP-Growth mine in {elapsed:.1f}s "
-          f"(peak {peak / 2**20:.1f} MiB), Apriori in {apriori_elapsed:.1f}s, "
-          f"same itemsets")
+          f"(peak {peak / 2**20:.1f} MiB), Apriori in {apriori_elapsed:.1f}s "
+          f"(peak {apriori_peak / 2**20:.1f} MiB), both the reference's "
+          f"1004 itemsets")
 
 
 def test_criterion_6_generator_calibration():
@@ -285,27 +306,27 @@ def dense_db():
 def test_dense_data_engines_agree_within_time_bound():
     db = dense_db()
     params = MiningParams(Fraction(3, 100), 1)
-    results = {}
+    want = reference_itemsets(db, params.min_support)
+    assert len(want) == 4071
+    assert max(map(len, want)) == 8
     for engine in (apriori_mine, fpgrowth_mine):
         # Free any cyclic garbage earlier tests left, so that collecting it
         # does not land inside the timed call and the bound times the
         # engine alone.
         gc.collect()
         started = perf_counter()
-        results[engine] = engine(db, params)
+        frequents = engine(db, params)
         elapsed = perf_counter() - started
         assert elapsed < 5.0, f"{engine.__module__} took {elapsed:.1f}s"
-    from_apriori, from_fpgrowth = results.values()
-    assert from_apriori == from_fpgrowth
-    assert len(from_apriori) == 4071
-    assert max(len(f.itemset) for f in from_apriori) == 8
-    print("dense gate PASS: Apriori and FP-Growth agree on 4071 itemsets")
+        assert_matches_reference(db, frequents, want)
+    print("dense gate PASS: Apriori and FP-Growth each mine the reference's "
+          "4071 itemsets")
 
 
 def test_dense_rules_within_time_and_memory_bounds():
     db = dense_db()
     params = MiningParams(Fraction(1, 40), Fraction(3, 5))
-    frequents = fpgrowth_mine(db, params)
+    frequents = apriori_mine(db, params)
     gc.collect()
     started = perf_counter()
     ruleset = generate_rules(frequents, db, params)
@@ -319,7 +340,7 @@ def test_dense_rules_within_time_and_memory_bounds():
     # tracemalloc slows allocation-heavy code by an order of magnitude, so
     # the peak is taken on a smaller cut of the same data.
     params = MiningParams(Fraction(3, 100), Fraction(4, 5))
-    frequents = fpgrowth_mine(db, params)
+    frequents = apriori_mine(db, params)
     gc.collect()
     tracemalloc.start()
     try:

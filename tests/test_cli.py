@@ -1,7 +1,6 @@
 import csv
 import gc
 import hashlib
-import importlib.util
 import io
 import json
 import os
@@ -18,14 +17,15 @@ from hypothesis import strategies as st
 
 import basketminer
 from basketminer import cli
+from basketminer.apriori import apriori_mine
 from basketminer.core import (
     ItemDictionary,
     MiningParams,
     TransactionDb,
 )
-from basketminer.fpgrowth import mine as fpgrowth_mine
 from basketminer.oracle import brute_force_mine
 from basketminer.rules import format_percent, generate_rules
+from helpers import PERFBENCH, load_perfbench
 
 GOLDEN_TABLE = (
     "People who bought this item | Also bought the following items | Support | Confidence\n"
@@ -35,7 +35,6 @@ GOLDEN_TABLE = (
 )
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
-PERFBENCH = PYPROJECT.parent / "perfbench"
 
 PAPER_FLAGS = ["--min-support", "0.42", "--min-confidence", "0.8",
                "--max-antecedent", "1"]
@@ -71,7 +70,7 @@ class TestMine:
         assert len(rows) == 1
         assert rows[0].startswith("Rice")
 
-    @pytest.mark.parametrize("algorithm", ["apriori", "fpgrowth", "bruteforce"])
+    @pytest.mark.parametrize("algorithm", ["apriori", "bruteforce"])
     def test_every_engine_reproduces_the_table(self, capsys, basket_path,
                                                algorithm):
         code, out, _ = run_cli(
@@ -103,12 +102,16 @@ class TestMine:
                       "--min-support", "0", "--min-confidence", "0.5"])
         assert exc_info.value.code == 2
 
-    def test_unknown_algorithm_exits_2(self, basket_path):
+    @pytest.mark.parametrize("algorithm", ["eclat", "fpgrowth"])
+    def test_unknown_algorithm_exits_2(self, capsys, basket_path, algorithm):
         with pytest.raises(SystemExit) as exc_info:
             cli.main(["mine", "--input", str(basket_path),
                       "--min-support", "0.5", "--min-confidence", "0.5",
-                      "--algorithm", "eclat"])
+                      "--algorithm", algorithm])
         assert exc_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"invalid choice: '{algorithm}'" in captured.err
 
     def test_bruteforce_guard_exits_4(self, capsys, tmp_path):
         wide = tmp_path / "wide.basket"
@@ -200,8 +203,7 @@ class TestMine:
 
 
 class TestDefaultEngine:
-    """``mine`` runs Apriori unless told otherwise; FP-Growth still prints
-    the same report but warns that it is deprecated."""
+    """``mine`` runs Apriori unless told otherwise."""
 
     ARGV = ["--min-support", "1/7", "--min-confidence", "1/2",
             "--show-itemsets"]
@@ -214,19 +216,15 @@ class TestDefaultEngine:
         return out, err
 
     @pytest.mark.parametrize("output", ["table", "csv"])
-    def test_default_stdout_is_apriori_and_fpgrowth_stdout(
-            self, capsys, basket_path, output):
+    def test_default_stdout_is_apriori_stdout(self, capsys, basket_path,
+                                              output):
         default, default_err = self.mine(capsys, basket_path,
                                          "--output", output)
         apriori, apriori_err = self.mine(capsys, basket_path, "--output",
                                          output, "--algorithm", "apriori")
-        fpgrowth, fpgrowth_err = self.mine(capsys, basket_path, "--output",
-                                           output, "--algorithm", "fpgrowth")
         assert default.count("\n") > 20
-        assert default == apriori == fpgrowth
+        assert default == apriori
         assert default_err == apriori_err == ""
-        assert fpgrowth_err == cli.FPGROWTH_DEPRECATION
-        assert fpgrowth_err.count("\n") == 1 and "fpgrowth" in fpgrowth_err
 
     def test_json_names_apriori_by_default(self, capsys, basket_path):
         out, err = self.mine(capsys, basket_path, "--output", "json")
@@ -237,7 +235,7 @@ class TestDefaultEngine:
         with pytest.raises(SystemExit):
             cli.main(["mine", "--help"])
         text = " ".join(capsys.readouterr().out.split())
-        assert "(default apriori; fpgrowth is deprecated" in text
+        assert "mining engine (default apriori)" in text
 
 
 class TestSubcommands:
@@ -258,40 +256,24 @@ class TestSubcommands:
     def test_engines_are_the_algorithm_choices(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["mine", "--help"])
-        assert "--algorithm {apriori,fpgrowth,bruteforce}" \
-            in capsys.readouterr().out
-        assert list(cli.ENGINES) == ["apriori", "fpgrowth", "bruteforce"]
+        assert "--algorithm {apriori,bruteforce}" in capsys.readouterr().out
+        assert list(cli.ENGINES) == ["apriori", "bruteforce"]
 
 
 class TestBenchmarkPins:
-    """Seed 0 of each benchmark workload, mined in process, prints the
-    stdout pinned in ``perfbench/pins.json``: by the default engine, and by
-    deprecated FP-Growth on the two workloads that run the default, until
-    that engine is removed."""
+    """Seed 0 of each benchmark workload, mined in process with the
+    workload's own ``mine`` flags, prints the stdout pinned in
+    ``perfbench/pins.json``."""
 
-    @pytest.fixture(scope="class")
-    def workloads(self):
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_workloads", PERFBENCH / "workloads.py")
-        module = importlib.util.module_from_spec(spec)
-        # Its dataclasses look their module up while they are made.
-        sys.modules[spec.name] = module
-        spec.loader.exec_module(module)
-        return module
-
-    @pytest.mark.parametrize("name, extra", [
-        ("sparse", []), ("dense", []), ("quest", []),
-        ("sparse", ["--algorithm", "fpgrowth"]),
-        ("dense", ["--algorithm", "fpgrowth"])],
-        ids=["sparse", "dense", "quest", "sparse-fpgrowth", "dense-fpgrowth"])
-    def test_seed_0_stdout_matches_the_pin(self, capsys, tmp_path, workloads,
-                                           name, extra):
+    @pytest.mark.parametrize("name", ["sparse", "dense", "quest"])
+    def test_seed_0_stdout_matches_the_pin(self, capsys, tmp_path, name):
+        workloads = load_perfbench("workloads")
         pins = json.loads((PERFBENCH / "pins.json").read_text(encoding="utf-8"))
         workload = workloads.WORKLOADS[name]
         source = workloads.write_input(workload, pins["seed"], tmp_path)
         assert source.sha256 == pins["input_sha256"][name]
         code, out, _ = run_cli(capsys, ["mine", "--input", str(source.path),
-                                        *workload.mine_args, *extra])
+                                        *workload.mine_args])
         assert code == 0
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert digest == pins["stdout_sha256"][name]
@@ -443,13 +425,13 @@ def reference_json(ruleset, db, algorithm, frequents):
 def render_all(ruleset, db, frequents):
     return (cli.rules_as_table(ruleset, db, frequents),
             cli.rules_as_csv(ruleset, db, frequents),
-            cli.rules_as_json(ruleset, db, "fpgrowth", frequents))
+            cli.rules_as_json(ruleset, db, "apriori", frequents))
 
 
 def reference_all(ruleset, db, frequents):
     return (reference_table(ruleset, db, frequents),
             reference_csv(ruleset, db, frequents),
-            reference_json(ruleset, db, "fpgrowth", frequents))
+            reference_json(ruleset, db, "apriori", frequents))
 
 
 QUOTED_BASKETS = (
@@ -472,7 +454,7 @@ class TestRenderers:
         assert code == 0
         db = cli.load_db(str(path), "basket")
         params = MiningParams(Fraction(1, 2), Fraction(1, 2))
-        frequents = fpgrowth_mine(db, params)
+        frequents = apriori_mine(db, params)
         ruleset = generate_rules(frequents, db, params)
         assert len(ruleset) > 0
         assert out == reference_csv(ruleset, db,

@@ -1,6 +1,8 @@
 import gc
 import random
+from collections import Counter
 from fractions import Fraction
+from typing import Iterable
 
 import pytest
 from hypothesis import given, settings
@@ -15,13 +17,69 @@ from basketminer.core import (
     support_count,
 )
 from basketminer.fpgrowth import (
+    FpTree,
+    WeightedRow,
     _build_tree,
     _header,
     build_fp_tree,
     fp_growth_mine,
     mine,
 )
-from helpers import as_pairs, db_from_ids, dict_insertion_tree, random_db, tree_paths
+from helpers import as_pairs, db_from_ids, random_db
+
+
+def dict_insertion_tree(rows: Iterable[WeightedRow], threshold: int) -> FpTree:
+    """The FP tree of weighted ``rows``, built one row at a time with a
+    child dict keyed by ``parent * width + rank``: FP-Growth's own builder
+    before it inserted sorted paths."""
+    rows = list(rows)
+    totals = Counter()
+    for items, weight in rows:
+        for item in items:
+            totals[item] += weight
+    header = _header(totals.items(), threshold)
+    tree = FpTree(threshold)
+    tree.header = header
+    width = len(header)
+    by_rank = [entry.item for entry in header]
+    rank = {item: position for position, item in enumerate(by_rank)}
+    heads = [0] * width
+    children = {}
+    for items, weight in rows:
+        node = 0
+        for position in sorted([rank[i] for i in items if i in rank]):
+            key = node * width + position
+            child = children.get(key)
+            if child is None:
+                child = len(tree.item)
+                children[key] = child
+                tree.item.append(by_rank[position])
+                tree.count.append(weight)
+                tree.parent.append(node)
+                tree.next_same_item.append(heads[position])
+                heads[position] = child
+            else:
+                tree.count[child] += weight
+            node = child
+    for entry, head in zip(header, heads):
+        entry.head = head
+    return tree
+
+
+def tree_paths(tree: FpTree) -> Counter:
+    """The multiset of (root-to-node item path, count) over the tree's
+    nodes, the root excepted: equal for two trees exactly when they are
+    the same tree, however their nodes are numbered."""
+    paths = Counter()
+    for node in range(1, tree.node_count):
+        path = []
+        ancestor = node
+        while ancestor:
+            path.append(tree.item[ancestor])
+            ancestor = tree.parent[ancestor]
+        paths[tuple(reversed(path)), tree.count[node]] += 1
+    return paths
+
 
 # Weighted rows as conditional pattern bases hold them: item ids in any
 # order, each row with a positive weight.
