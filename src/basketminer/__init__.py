@@ -13,14 +13,12 @@ from .apriori import apriori_mine
 from .core import (
     AssociationRule,
     ConfigError,
-    ContractViolationError,
     DomainError,
     EmptyInputError,
     FrequentItemset,
     GuardError,
     IngestionError,
     InternalConsistencyError,
-    Item,
     ItemDictionary,
     ItemSet,
     MiningError,
@@ -29,22 +27,19 @@ from .core import (
     filter_min_items,
     ingest_basket,
     ingest_tid_pairs,
-    itemset,
     support_count,
-    to_basket_lines,
     to_basket_text,
 )
 from .fpgrowth import FpTree, build_fp_tree, fp_growth_mine
 from .fpgrowth import mine as fpgrowth_mine
 from .oracle import GeneratorConfig, brute_force_mine, generate_db
-from .rules import RuleSet, format_percent, generate_rules, percent
+from .rules import RuleSet, generate_rules
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AssociationRule",
     "ConfigError",
-    "ContractViolationError",
     "DomainError",
     "EmptyInputError",
     "FpTree",
@@ -53,7 +48,6 @@ __all__ = [
     "GuardError",
     "IngestionError",
     "InternalConsistencyError",
-    "Item",
     "ItemDictionary",
     "ItemSet",
     "MiningError",
@@ -64,16 +58,12 @@ __all__ = [
     "brute_force_mine",
     "build_fp_tree",
     "filter_min_items",
-    "format_percent",
     "fp_growth_mine",
     "fpgrowth_mine",
     "generate_db",
     "generate_rules",
     "ingest_basket",
     "ingest_tid_pairs",
-    "itemset",
-    "percent",
     "support_count",
-    "to_basket_lines",
     "to_basket_text",
 ]

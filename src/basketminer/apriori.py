@@ -20,7 +20,6 @@ from operator import itemgetter
 from typing import Sequence
 
 from .core import (
-    ContractViolationError,
     EmptyInputError,
     FrequentItemset,
     ItemSet,
@@ -67,7 +66,7 @@ def candidate_gen(prev_level: Sequence[FrequentItemset]) -> CandidateSet:
         return CandidateSet(2, ())
     sizes = {len(f.itemset) for f in prev_level}
     if len(sizes) != 1:
-        raise ContractViolationError(
+        raise ValueError(
             f"candidate_gen requires uniform itemset sizes, got {sorted(sizes)}")
     k = sizes.pop() + 1
     prev_sets = {f.itemset for f in prev_level}

@@ -1,5 +1,9 @@
 """Command-line interface: ``mine`` and ``gen`` subcommands.
 
+``mine`` renders a ``RuleSet``'s integer rows itself: the table prints
+whole percents (a half rounded up), CSV and JSON print exact ratios in
+lowest terms, and JSON adds the nearest float.
+
 Exit codes: 0 success, 2 bad flags or config, 3 ingestion failure,
 4 guard refusal (brute force on an oversized universe).
 """
@@ -18,7 +22,6 @@ from typing import Callable, Sequence
 
 from .apriori import apriori_mine
 from .core import (
-    ConfigError,
     FrequentItemset,
     GuardError,
     IngestionError,
@@ -32,7 +35,7 @@ from .core import (
     to_basket_text,
 )
 from .oracle import GeneratorConfig, brute_force_mine, generate_db
-from .rules import RuleSet, generate_rules, whole_percent
+from .rules import RuleSet, generate_rules
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -192,16 +195,10 @@ def ratio_text(part: int, whole: int) -> str:
     return f"{part // divisor}/{whole // divisor}"
 
 
-def ratio_object(part: int, whole: int) -> dict:
-    """The JSON form of ``part / whole``: lowest terms and the nearest float."""
-    divisor = math.gcd(part, whole)
-    return {"num": part // divisor, "den": whole // divisor,
-            "decimal": part / whole}
-
-
-def percent_text(part: int, whole: int) -> str:
-    """``format_percent(Fraction(part, whole))`` for counts."""
-    return f"{whole_percent(part, whole)}%"
+def whole_percent(part: int, whole: int) -> int:
+    """The whole percent of ``part / whole`` for counts ``part >= 0``,
+    ``whole > 0``, a half rounded up (4/7 -> 57, 1/200 -> 1)."""
+    return (200 * part + whole) // (2 * whole)
 
 
 def csv_field(text: str) -> str:
@@ -237,12 +234,12 @@ def render_table(columns: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 
 def rules_as_table(ruleset: RuleSet, db: TransactionDb,
                    frequents: Sequence[FrequentItemset] | None) -> str:
-    labels = [item.label for item in db.dictionary]
+    labels = list(db.dictionary)
     n = ruleset.n_transactions
     names = Memo(lambda ids: ", ".join([labels[i] for i in ids]))
-    supports = Memo(lambda union: percent_text(union, n))
+    supports = Memo(lambda union: f"{whole_percent(union, n)}%")
     rows = [(names[antecedent], names[consequent], supports[-neg_union],
-             percent_text(-neg_union, antecedent_count))
+             f"{whole_percent(-neg_union, antecedent_count)}%")
             for _, neg_union, antecedent, consequent, antecedent_count
             in ruleset.rows]
     out = render_table(RULE_TABLE_HEADER, rows)
@@ -257,7 +254,7 @@ def rules_as_table(ruleset: RuleSet, db: TransactionDb,
 
 def rules_as_csv(ruleset: RuleSet, db: TransactionDb,
                  frequents: Sequence[FrequentItemset] | None) -> str:
-    labels = [item.label for item in db.dictionary]
+    labels = list(db.dictionary)
     n = ruleset.n_transactions
     names = Memo(lambda ids: csv_field(";".join([labels[i] for i in ids])))
     supports = Memo(lambda union: ratio_text(union, n))
@@ -274,12 +271,13 @@ def rules_as_csv(ruleset: RuleSet, db: TransactionDb,
 
 
 def json_ratio(part: int, whole: int, indent: str) -> str:
-    """``ratio_object(part, whole)`` as ``json.dumps(..., indent=2)`` writes
-    it at nesting ``indent``."""
-    value = ratio_object(part, whole)
-    return (f'{{\n{indent}  "num": {value["num"]},\n'
-            f'{indent}  "den": {value["den"]},\n'
-            f'{indent}  "decimal": {value["decimal"]!r}\n{indent}}}')
+    """The JSON object of ``part / whole``, its lowest terms and nearest
+    float, as ``json.dumps(..., indent=2)`` writes it at nesting
+    ``indent``."""
+    divisor = math.gcd(part, whole)
+    return (f'{{\n{indent}  "num": {part // divisor},\n'
+            f'{indent}  "den": {whole // divisor},\n'
+            f'{indent}  "decimal": {part / whole!r}\n{indent}}}')
 
 
 def json_array(entries: Sequence[str], indent: str) -> str:
@@ -296,7 +294,7 @@ def rules_as_json(ruleset: RuleSet, db: TransactionDb, algorithm: str,
     """The report exactly as ``json.dumps(payload, indent=2)`` writes it,
     built as text so that each distinct label list and support is encoded
     once."""
-    labels = [json.dumps(item.label) for item in db.dictionary]
+    labels = [json.dumps(label) for label in db.dictionary]
     n = ruleset.n_transactions
     deep = " " * 6
     names = Memo(lambda ids: json_array([labels[i] for i in ids], deep))
@@ -376,9 +374,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except IngestionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INGESTION

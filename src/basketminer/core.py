@@ -1,8 +1,11 @@
 """Domain model: items, itemsets, transaction databases, and ingestion.
 
-An itemset is represented as a plain tuple of interned item ids, strictly
-ascending and duplicate-free. Canonical tuples are hashable, compare
-lexicographically, and serve as dict keys throughout the mining engines.
+An item is a plain int id, dense and in first-appearance order;
+``ItemDictionary`` interns each trimmed label to its id and keeps the
+labels in id order, for output. An itemset is a plain tuple of item ids,
+strictly ascending and duplicate-free. Canonical tuples are hashable,
+compare lexicographically, and serve as dict keys throughout the mining
+engines.
 
 Two ingestion formats are supported:
 
@@ -59,10 +62,6 @@ class DomainError(MiningError):
     """A value is outside the domain of the operation (unknown id, N = 0)."""
 
 
-class ContractViolationError(MiningError):
-    """A caller broke an explicit precondition of an engine operation."""
-
-
 class GuardError(MiningError):
     """A safety guard tripped (e.g. brute-force enumeration too large)."""
 
@@ -75,28 +74,16 @@ class InternalConsistencyError(MiningError):
     """Mined results are internally inconsistent (indicates an engine bug)."""
 
 
-def itemset(ids: Iterable[int]) -> ItemSet:
-    """Canonicalize ``ids`` into a sorted duplicate-free itemset tuple."""
-    return tuple(sorted(set(ids)))
-
-
-@dataclass(frozen=True, slots=True)
-class Item:
-    """An interned item: dense non-negative id plus its trimmed label."""
-
-    id: int
-    label: str
-
-
 class ItemDictionary:
-    """Bijective label <-> id registry; ids are dense, in first-appearance order."""
+    """Bijective label <-> id registry; ids are dense, in first-appearance
+    order. Iteration yields the labels in id order."""
 
     def __init__(self) -> None:
-        self._items: list[Item] = []
-        self._by_label: dict[str, Item] = {}
+        self._labels: list[str] = []
+        self._ids: dict[str, int] = {}
 
-    def intern(self, label: str) -> Item:
-        """Return the item for ``label``, registering it with the next id if new.
+    def intern(self, label: str) -> int:
+        """Return the id of ``label``, registering it with the next id if new.
 
         The label is whitespace-trimmed; comparison is exact and
         case-sensitive. Raises ValueError if the label is empty after
@@ -105,43 +92,42 @@ class ItemDictionary:
         label = label.strip()
         if not label:
             raise ValueError("item label is empty after trimming")
-        item = self._by_label.get(label)
-        if item is None:
-            item = Item(len(self._items), label)
-            self._items.append(item)
-            self._by_label[label] = item
-        return item
+        item_id = self._ids.get(label)
+        if item_id is None:
+            item_id = self._ids[label] = len(self._labels)
+            self._labels.append(label)
+        return item_id
 
     def id_of(self, label: str) -> int:
         try:
-            return self._by_label[label.strip()].id
+            return self._ids[label.strip()]
         except KeyError:
             raise DomainError(f"unknown item label: {label!r}") from None
 
     def label_of(self, item_id: int) -> str:
-        if not 0 <= item_id < len(self._items):
+        if not 0 <= item_id < len(self._labels):
             raise DomainError(f"unknown item id: {item_id}")
-        return self._items[item_id].label
+        return self._labels[item_id]
 
     def labels(self, ids: Iterable[int]) -> tuple[str, ...]:
         return tuple(self.label_of(i) for i in ids)
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._labels)
 
-    def __iter__(self) -> Iterator[Item]:
-        return iter(self._items)
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._labels)
 
     def __contains__(self, label: str) -> bool:
-        return label.strip() in self._by_label
+        return label.strip() in self._ids
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ItemDictionary):
             return NotImplemented
-        return self._items == other._items
+        return self._labels == other._labels
 
     def __repr__(self) -> str:
-        return f"ItemDictionary({len(self._items)} items)"
+        return f"ItemDictionary({len(self._labels)} items)"
 
 
 @dataclass(frozen=True)
@@ -371,7 +357,7 @@ def _item_id(field: str, ids: dict[str, int], dictionary: ItemDictionary,
         label = field.strip()
         if not label:
             raise IngestionError("empty item label", line_number)
-        item = ids[field] = dictionary.intern(label).id
+        item = ids[field] = dictionary.intern(label)
     return item
 
 
@@ -449,14 +435,11 @@ def ingest_tid_pairs(lines: Iterable[str], skip_header: bool = False) -> Transac
     return TransactionDb._trusted(transactions, dictionary)
 
 
-def to_basket_lines(db: TransactionDb) -> list[str]:
-    """Render each transaction as a comma-joined label line (id order)."""
-    return [",".join(db.dictionary.label_of(i) for i in t) for t in db.transactions]
-
-
 def to_basket_text(db: TransactionDb) -> str:
-    """Serialize to basket format; re-ingesting yields an identical db."""
-    return "\n".join(to_basket_lines(db)) + "\n"
+    """Serialize to basket format, one comma-joined label line per
+    transaction in id order; re-ingesting yields an identical db."""
+    label = db.dictionary.label_of
+    return "\n".join([",".join(map(label, t)) for t in db.transactions]) + "\n"
 
 
 def filter_min_items(db: TransactionDb, min_items: int) -> TransactionDb:
@@ -473,6 +456,6 @@ def filter_min_items(db: TransactionDb, min_items: int) -> TransactionDb:
     dictionary = ItemDictionary()
     transactions = []
     for t in kept:
-        ids = [dictionary.intern(db.dictionary.label_of(i)).id for i in t]
+        ids = [dictionary.intern(db.dictionary.label_of(i)) for i in t]
         transactions.append(tuple(sorted(ids)))
     return TransactionDb._trusted(tuple(transactions), dictionary)

@@ -127,6 +127,6 @@ def generate_db(config: GeneratorConfig) -> TransactionDb:
         while len(labels) < size:
             label = item_label(int(rng.random() * config.universe_size))
             labels[label] = None
-        ids = {dictionary.intern(label).id for label in labels}
+        ids = {dictionary.intern(label) for label in labels}
         transactions.append(tuple(sorted(ids)))
     return TransactionDb(tuple(transactions), dictionary)

@@ -8,15 +8,14 @@ database rescan). Moving an item from the antecedent to the consequent
 can only lower confidence, so a consequent whose rule fails the
 confidence test is dropped and never grown further. Thresholds are tested
 by integer cross-multiplication of the counts. A ``RuleSet`` keeps its
-rules as flat integer rows in canonical order; exact rational scores, and
-whole percents (rounded half away from zero), appear only at the
-presentation edge.
+rules as flat integer rows in canonical order; exact rational scores appear
+only when ``AssociationRule`` objects are built from the rows, and the CLI
+renders the rows as text.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .core import (
@@ -32,24 +31,6 @@ from .core import (
 # (-(u * N * N // a), -u, antecedent, consequent, a) for a rule with union
 # count u and antecedent count a: its canonical sort key, then a.
 RuleRow = tuple[int, int, ItemSet, ItemSet, int]
-
-
-def whole_percent(part: int, whole: int) -> int:
-    """The whole percent of ``part / whole`` (``whole > 0``), a half
-    rounded away from zero (4/7 -> 57)."""
-    if part >= 0:
-        return (200 * part + whole) // (2 * whole)
-    return -((whole - 200 * part) // (2 * whole))
-
-
-def percent(value: Fraction) -> int:
-    """Whole-percent rendering, rounding half away from zero (4/7 -> 57)."""
-    value = Fraction(value)
-    return whole_percent(value.numerator, value.denominator)
-
-
-def format_percent(value: Fraction) -> str:
-    return f"{percent(value)}%"
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,7 @@ def basket_reference(lines):
         for field in line.split(","):
             if not field.strip():
                 raise IngestionError("empty item label", number)
-            ids.add(dictionary.intern(field).id)
+            ids.add(dictionary.intern(field))
         transactions.append(tuple(sorted(ids)))
     if not transactions:
         raise EmptyInputError("input contains no transactions")
@@ -85,7 +85,7 @@ def tid_pairs_reference(lines, skip_header):
             raise IngestionError("empty transaction id", number)
         if not parts[1].strip():
             raise IngestionError("empty item label", number)
-        item = dictionary.intern(parts[1]).id
+        item = dictionary.intern(parts[1])
         groups.setdefault(parts[0].strip(), set()).add(item)
     if not groups:
         raise EmptyInputError("input contains no transactions")
@@ -121,7 +121,7 @@ def load_perfbench(name: str) -> ModuleType:
 def labelled_counts(db: TransactionDb, frequents) -> dict:
     """``frequents`` as perfbench's reference miner reports itemsets:
     sorted label tuples mapped to their counts."""
-    labels = [item.label for item in db.dictionary]
+    labels = list(db.dictionary)
     return {tuple(sorted([labels[i] for i in f.itemset])): f.count
             for f in frequents}
 
@@ -129,7 +129,7 @@ def labelled_counts(db: TransactionDb, frequents) -> dict:
 def reference_itemsets(db: TransactionDb, min_support) -> dict:
     """Every frequent itemset of ``db`` by ``perfbench/reference.py``'s
     bitset miner, which imports nothing from ``basketminer``."""
-    labels = [item.label for item in db.dictionary]
+    labels = list(db.dictionary)
     transactions = [frozenset([labels[i] for i in row])
                     for row in db.transactions]
     return load_perfbench("reference").frequent_itemsets(

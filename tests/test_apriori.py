@@ -16,7 +16,6 @@ from basketminer.apriori import (
     mine_levels,
 )
 from basketminer.core import (
-    ContractViolationError,
     EmptyInputError,
     FrequentItemset,
     ItemDictionary,
@@ -80,7 +79,7 @@ class TestCandidateGen:
 
     def test_mixed_sizes_violate_contract(self):
         level = [FrequentItemset((0,), 3), FrequentItemset((1, 2), 3)]
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(ValueError, match="uniform itemset sizes"):
             candidate_gen(level)
 
     def test_candidate_set_enforces_uniform_size(self):

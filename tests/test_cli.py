@@ -3,6 +3,7 @@ import gc
 import hashlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -24,7 +25,7 @@ from basketminer.core import (
     TransactionDb,
 )
 from basketminer.oracle import brute_force_mine
-from basketminer.rules import format_percent, generate_rules
+from basketminer.rules import generate_rules
 from helpers import PERFBENCH, load_perfbench
 
 GOLDEN_TABLE = (
@@ -249,9 +250,17 @@ class TestSubcommands:
 
     def test_package_exports_no_benchmark_names(self):
         for name in ("benchmark", "BenchmarkReport", "EngineRun",
-                     "EngineDisagreementError"):
+                     "EngineDisagreementError", "Item", "itemset",
+                     "to_basket_lines", "ContractViolationError", "percent",
+                     "format_percent"):
             assert name not in basketminer.__all__
             assert not hasattr(basketminer, name)
+
+    def test_every_exported_name_resolves(self):
+        namespace: dict = {}
+        exec("from basketminer import *", namespace)
+        for name in basketminer.__all__:
+            assert namespace[name] is getattr(basketminer, name)
 
     def test_engines_are_the_algorithm_choices(self, capsys):
         with pytest.raises(SystemExit):
@@ -338,14 +347,22 @@ class TestRatioFormatting:
     def test_ratio_object_matches_the_fraction(self):
         for part, whole in self.PAIRS:
             value = Fraction(part, whole)
-            assert cli.ratio_object(part, whole) == {
-                "num": value.numerator, "den": value.denominator,
-                "decimal": float(value)}
+            expected = {"num": value.numerator, "den": value.denominator,
+                        "decimal": float(value)}
+            text = cli.json_ratio(part, whole, "")
+            assert json.loads(text) == expected
+            assert text == json.dumps(expected, indent=2)
 
-    def test_percent_text_matches_format_percent(self):
+    def test_whole_percent_matches_the_reference(self):
         for part, whole in self.PAIRS:
-            assert cli.percent_text(part, whole) == \
-                format_percent(Fraction(part, whole))
+            assert f"{cli.whole_percent(part, whole)}%" == \
+                reference_percent(Fraction(part, whole))
+
+
+def reference_percent(value):
+    """``value >= 0`` as a whole percent, floor(100·value + 1/2), in exact
+    rational arithmetic."""
+    return f"{math.floor(value * 100 + Fraction(1, 2))}%"
 
 
 def reference_table(ruleset, db, frequents):
@@ -364,7 +381,7 @@ def reference_table(ruleset, db, frequents):
 
     out = table(cli.RULE_TABLE_HEADER, [
         (", ".join(map(label, r.antecedent)), ", ".join(map(label, r.consequent)),
-         format_percent(r.support), format_percent(r.confidence))
+         reference_percent(r.support), reference_percent(r.confidence))
         for r in ruleset])
     if frequents is not None:
         n = ruleset.n_transactions

@@ -10,14 +10,12 @@ from basketminer.core import (
     DomainError,
     EmptyInputError,
     IngestionError,
-    Item,
     ItemDictionary,
     MiningParams,
     TransactionDb,
     filter_min_items,
     ingest_basket,
     ingest_tid_pairs,
-    itemset,
     read_lines,
     support_count,
     to_basket_text,
@@ -33,19 +31,19 @@ from helpers import (
 class TestItemDictionary:
     def test_first_insertion_gets_id_zero(self):
         d = ItemDictionary()
-        item = d.intern("Sugar")
-        assert (item.id, item.label) == (0, "Sugar")
+        assert d.intern("Sugar") == 0
+        assert d.label_of(0) == "Sugar"
 
     def test_interning_is_idempotent(self):
         d = ItemDictionary()
         first = d.intern("Sugar")
-        assert d.intern("Sugar") is first
+        assert d.intern("Sugar") == first
         assert len(d) == 1
 
     def test_labels_are_trimmed_and_case_sensitive(self):
         d = ItemDictionary()
-        assert d.intern("  Wheat ").id == d.intern("Wheat").id
-        assert d.intern("wheat").id != d.intern("Wheat").id
+        assert d.intern("  Wheat ") == d.intern("Wheat")
+        assert d.intern("wheat") != d.intern("Wheat")
 
     def test_empty_label_rejected(self):
         d = ItemDictionary()
@@ -53,17 +51,16 @@ class TestItemDictionary:
             d.intern("   ")
 
     def test_items_have_no_instance_dict(self):
-        item = ItemDictionary().intern("Sugar")
-        assert not hasattr(item, "__dict__")
-        assert item == Item(0, "Sugar")
-        assert hash(item) == hash(Item(0, "Sugar"))
-        assert item != Item(1, "Sugar")
-        assert item != Item(0, "Wheat")
-        assert len({item, Item(0, "Sugar"), Item(0, "Wheat")}) == 2
+        # An item is its plain int id: no object per item beside its label.
+        d = ItemDictionary()
+        ids = [d.intern(label) for label in ("Sugar", "Wheat", "Sugar")]
+        assert [type(item) for item in ids] == [int, int, int]
+        assert ids == [0, 1, 0]
+        assert not hasattr(ids[0], "__dict__")
 
     def test_grocery_labels_intern_in_table_order(self, grocery_db):
         d = grocery_db.dictionary
-        assert [item.label for item in d] == ["Sugar", "Wheat", "Pulses", "Rice"]
+        assert list(d) == ["Sugar", "Wheat", "Pulses", "Rice"]
         assert d.id_of("Sugar") == 0
         assert d.id_of("Rice") == 3
         assert d.label_of(2) == "Pulses"
@@ -74,14 +71,6 @@ class TestItemDictionary:
             d.id_of("Milk")
         with pytest.raises(DomainError):
             d.label_of(99)
-
-
-class TestItemsetHelper:
-    def test_sorts_and_deduplicates(self):
-        assert itemset([3, 1, 3, 2]) == (1, 2, 3)
-
-    def test_empty_is_empty_tuple(self):
-        assert itemset([]) == ()
 
 
 class TestIngestBasket:
@@ -284,7 +273,7 @@ class TestFilterMinItems:
         db = ingest_basket(["onlyhere", "a,b", "b,c"])
         filtered = filter_min_items(db, 2)
         assert len(filtered.dictionary) == 3
-        assert {item.label for item in filtered.dictionary} == {"a", "b", "c"}
+        assert set(filtered.dictionary) == {"a", "b", "c"}
         assert filtered.transactions == ((0, 1), (1, 2))
 
     def test_nothing_survives_is_empty_input(self, grocery_db):
@@ -399,7 +388,7 @@ class TestIngestCaches:
     def test_cached_field_can_still_open_a_comment(self):
         db = ingest_basket(["a,#b", "#b", "  #b", "a"])
         assert db.n == 2
-        assert [item.label for item in db.dictionary] == ["a", "#b"]
+        assert list(db.dictionary) == ["a", "#b"]
 
     def test_padded_fields_share_one_id(self):
         db = ingest_basket([" a", "a ", "a", "a, a,a "])

@@ -143,7 +143,7 @@ class TestGenerateDb:
                                  basket_size_range=(1, 7))
         db = generate_db(config)
         universe = {item_label(i) for i in range(7)}
-        assert {item.label for item in db.dictionary} <= universe
+        assert set(db.dictionary) <= universe
 
     def test_pattern_labels_may_exceed_basket_size_range(self):
         config = GeneratorConfig(num_transactions=30, universe_size=5,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from basketminer import cli
 from basketminer.core import (
     DomainError,
     FrequentItemset,
@@ -14,30 +15,26 @@ from basketminer.core import (
     MiningParams,
 )
 from basketminer.oracle import brute_force_mine
-from basketminer.rules import (
-    format_percent,
-    generate_rules,
-    percent,
-)
+from basketminer.rules import generate_rules
 from helpers import db_from_ids, random_db
 
 
 class TestPercentRendering:
+    """A rule's exact score as the table prints it, through
+    ``cli.whole_percent``."""
+
     @pytest.mark.parametrize("value, expected", [
         (Fraction(4, 7), 57),     # 57.14... rounds down
         (Fraction(3, 7), 43),     # 42.86... rounds up
         (Fraction(1, 2), 50),
         (Fraction(1, 200), 1),    # exactly 0.5% rounds away from zero
         (Fraction(3, 200), 2),    # exactly 1.5% also rounds up
-        (Fraction(-1, 200), -1),
+        (Fraction(199, 200), 100),  # exactly 99.5% rounds up to 100
         (Fraction(0), 0),
         (Fraction(1), 100),
     ])
     def test_round_half_away_from_zero(self, value, expected):
-        assert percent(value) == expected
-
-    def test_format_appends_percent_sign(self):
-        assert format_percent(Fraction(4, 5)) == "80%"
+        assert cli.whole_percent(value.numerator, value.denominator) == expected
 
 
 class TestGenerateRules:
