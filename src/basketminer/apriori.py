@@ -31,14 +31,15 @@ from . import pairs
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Deduplicated size-k candidates, each surviving subset pruning."""
+    """Deduplicated size-k candidates, each surviving subset pruning.
+
+    Not re-checked here: ``candidate_gen``, the one builder, joins only
+    itemsets of one size k - 1 into ``prefix + (a, b)``, and refuses a
+    level of mixed sizes.
+    """
 
     k: int
     candidates: tuple[ItemSet, ...]
-
-    def __post_init__(self) -> None:
-        if self.candidates and any(len(c) != self.k for c in self.candidates):
-            raise ValueError(f"all candidates must have exactly {self.k} items")
 
 
 def frequent_singletons(db: TransactionDb, threshold: int) -> list[FrequentItemset]:
@@ -134,7 +135,7 @@ def mine_levels(db: TransactionDb, singletons: Sequence[FrequentItemset],
             break
         if not cover_of:
             used = sorted(set(chain.from_iterable(candidate_set.candidates)))
-            cover_of = dict(zip(used, pairs.covers_of(
+            cover_of = dict(zip(used, pairs.covers(
                 rows, width, [rank[item] for item in used])))
         level = _count(cover_of, candidate_set, threshold)
         result.extend(level)

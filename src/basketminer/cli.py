@@ -68,24 +68,19 @@ def fraction_arg(text: str) -> Fraction:
     return value
 
 
-def positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def int_at_least(minimum: int) -> Callable[[str], int]:
+    """A flag parser for integers >= ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"not an integer: {text!r}") from exc
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+    return parse
 
 
 def pattern_arg(text: str) -> tuple[tuple[str, ...], float]:
@@ -130,9 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="mining engine (default apriori)")
     mine.add_argument("--output", choices=("table", "csv", "json"),
                       default="table", help="output format (default table)")
-    mine.add_argument("--max-antecedent", type=positive_int, default=None,
+    mine.add_argument("--max-antecedent", type=int_at_least(1), default=None,
                       help="cap on antecedent size")
-    mine.add_argument("--min-items", type=positive_int, default=None,
+    mine.add_argument("--min-items", type=int_at_least(1), default=None,
                       help="drop transactions with fewer items")
     mine.add_argument("--show-itemsets", action="store_true",
                       help="also emit the frequent itemsets")
@@ -140,18 +135,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = subparsers.add_parser(
         "gen", help="generate a synthetic basket file")
-    gen.add_argument("--transactions", type=positive_int, default=100,
+    gen.add_argument("--transactions", type=int_at_least(1), default=100,
                      help="number of baskets to generate (default 100)")
-    gen.add_argument("--items", type=positive_int, default=20,
+    gen.add_argument("--items", type=int_at_least(1), default=20,
                      help="universe size (default 20)")
-    gen.add_argument("--basket-min", type=positive_int, default=1,
+    gen.add_argument("--basket-min", type=int_at_least(1), default=1,
                      help="minimum basket size (default 1)")
-    gen.add_argument("--basket-max", type=positive_int, default=8,
+    gen.add_argument("--basket-max", type=int_at_least(1), default=8,
                      help="maximum basket size (default 8)")
     gen.add_argument("--pattern", action="append", type=pattern_arg,
                      default=[], metavar="ITEMS:PROB",
                      help='planted pattern, e.g. "milk,bread:0.4"; repeatable')
-    gen.add_argument("--seed", type=nonnegative_int, default=0,
+    gen.add_argument("--seed", type=int_at_least(0), default=0,
                      help="RNG seed (default 0)")
     gen.add_argument("--output", default="-",
                      help="output path, - for stdout (default -)")
@@ -164,10 +159,16 @@ def load_db(path_text: str, file_format: str, skip_header: bool = False,
             min_items: int | None = None) -> TransactionDb:
     """Ingest the file at ``path_text``, streamed through ``read_lines``.
 
-    A file that cannot be opened or read, or that is not UTF-8, raises
+    ``skip_header`` is for the tidpairs format only; with any other format
+    it raises ``ValueError`` before the file is opened. A file that cannot
+    be opened or read, or that is not UTF-8, raises
     ``IngestionError("cannot read ...")``; a line that fails to parse
     before the first undecodable byte is reported instead.
     """
+    if skip_header and file_format != "tidpairs":
+        raise ValueError(
+            f"--skip-header applies only to --format tidpairs, "
+            f"not {file_format}")
     try:
         handle = open(path_text, "rb")
     except OSError as exc:

@@ -20,6 +20,8 @@ two ways:
 A cost rule picks whichever does less: covers win on dense data (few ints,
 long rows), prefixes on sparse data (many ints, few pairs per row). The
 covers it builds come back with the counts, for Apriori's levels above 2.
+After a count by prefixes, those levels call the same ``covers`` for just
+the items their candidates use.
 """
 
 from __future__ import annotations
@@ -46,13 +48,13 @@ def pair_counts(rows: Sequence[Row], width: int,
                 threshold: int) -> tuple[PairCounts, list[int] | None]:
     """For each p below ``width``, the (q, count) pairs with q < p that
     occur together in at least ``threshold`` of ``rows``; and the
-    ``covers(rows, width)`` counted to find them, or None when the cost
-    rule counted by prefixes.
+    ``covers(rows, width, range(width))`` counted to find them, or None
+    when the cost rule counted by prefixes.
 
     Each row is an ascending tuple of ints below ``width``.
     """
     if _covers_cheaper(rows, width):
-        built = covers(rows, width)
+        built = covers(rows, width, range(width))
         return count_by_covers(built, threshold), built
     return count_by_prefixes(rows, width, threshold), None
 
@@ -66,31 +68,16 @@ def _covers_cheaper(rows: Sequence[Row], width: int) -> bool:
     return words < _WORDS_PER_PAIR * pairs
 
 
-def covers(rows: Sequence[Row], width: int) -> list[int]:
-    """The cover of each int below ``width``: an int whose bit i is set iff
-    ``rows[i]`` holds it."""
-    size = (len(rows) + 7) // 8
-    bits = [bytearray(size) for _ in range(width)]
-    for tid, row in enumerate(rows):
-        byte, bit = tid >> 3, 1 << (tid & 7)
-        for p in row:
-            bits[p][byte] |= bit
-    return [int.from_bytes(cover, "little") for cover in bits]
+def covers(rows: Sequence[Row], width: int,
+           wanted: Sequence[int]) -> list[int]:
+    """The cover of each int in ``wanted``, in that order: an int whose bit
+    i is set iff ``rows[i]`` holds it. Ints not wanted get no cover.
 
-
-def covers_of(rows: Sequence[Row], width: int,
-              wanted: Sequence[int]) -> list[int]:
-    """``[covers(rows, width)[p] for p in wanted]``, without building the
-    covers of the other ints.
-
-    A separate loop from ``covers``, because neither way of sharing one
-    loop is free. Testing each int for a wanted cover makes ``covers``
-    10-20% slower where it builds them all (dense benchmark input).
-    Pointing every unwanted int at one shared throwaway cover keeps
-    ``covers`` as fast, but this loop then writes every element of every
-    row: 3 wanted of 1000 ints on the sparse benchmark input take 0.021
-    instead of 0.011 s, and 92 of 428 on quest 0.023 instead of 0.018 s
-    (best of 9 each), as long as building every cover there.
+    ``pair_counts`` wants every int below ``width``; Apriori's levels above
+    2 want only the items their candidates use (3 of 1000 on the sparse
+    benchmark input, 92 of 428 on quest). Testing each int for a wanted
+    cover costs the first 2-3 ms on the dense benchmark input, under 1% of
+    its run.
     """
     size = (len(rows) + 7) // 8
     bits: list[bytearray | None] = [None] * width
@@ -109,10 +96,9 @@ def count_by_covers(covers: Sequence[int], threshold: int) -> PairCounts:
     """``pair_counts`` from each int's cover."""
     found: PairCounts = []
     for p, cover in enumerate(covers):
-        counts = list(map(int.bit_count, map(cover.__and__, covers[:p])))
+        counts = map(int.bit_count, map(cover.__and__, covers[:p]))
         found.append([(q, count) for q, count in enumerate(counts)
-                      if count >= threshold]
-                     if counts and max(counts) >= threshold else [])
+                      if count >= threshold])
     return found
 
 
@@ -127,8 +113,9 @@ def count_by_prefixes(rows: Sequence[Row], width: int,
     for p, held in enumerate(holders):
         counts = Counter(chain.from_iterable(
             [row[:row.index(p)] for row in held]))
-        # Most bases hold no frequent item at all on sparse data, and one
-        # C-level max() says so without a Python-level pass.
+        # Most bases hold no frequent item, and one C-level max() says so
+        # without a Python-level pass: about 3 ms of the 86 ms kernel on
+        # quest, nothing visible on sparse.
         found.append(sorted((q, count) for q, count in counts.items()
                             if count >= threshold)
                      if counts and max(counts.values()) >= threshold else [])

@@ -76,7 +76,8 @@ def generate_rules(frequents: Sequence[FrequentItemset], db: TransactionDb,
     are tested on the integer counts: support against
     ``params.absolute_threshold(N)``, confidence by cross-multiplication.
     ``max_antecedent`` caps the antecedent size of the emitted rules
-    (None = no cap); consequents are grown regardless.
+    (None = no cap; below 1 raises ValueError); consequents are grown
+    regardless.
 
     ``frequents`` must be downward-closed, which the mining engines
     guarantee. Each qualifying Z is checked once, before its rules: a
@@ -86,6 +87,8 @@ def generate_rules(frequents: Sequence[FrequentItemset], db: TransactionDb,
     induction every subset of Z is present with a count in that range.
     An empty database (N = 0) raises DomainError.
     """
+    if max_antecedent is not None and max_antecedent < 1:
+        raise ValueError(f"max_antecedent must be >= 1, got {max_antecedent}")
     n = db.n
     if n == 0:
         raise DomainError("cannot generate rules from an empty transaction database")

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from basketminer.apriori import (
-    CandidateSet,
     apriori_mine,
     candidate_gen,
     frequent_singletons,
@@ -81,10 +80,6 @@ class TestCandidateGen:
         level = [FrequentItemset((0,), 3), FrequentItemset((1, 2), 3)]
         with pytest.raises(ValueError, match="uniform itemset sizes"):
             candidate_gen(level)
-
-    def test_candidate_set_enforces_uniform_size(self):
-        with pytest.raises(ValueError):
-            CandidateSet(2, ((0, 1), (0, 1, 2)))
 
     @settings(max_examples=60, deadline=None)
     @given(k=st.integers(1, 4), data=st.data())

@@ -125,6 +125,37 @@ class TestMine:
         assert out == ""
         assert "guard" in err
 
+    def test_skip_header_on_basket_exits_2(self, capsys, basket_path):
+        code, out, err = run_cli(capsys, [
+            "mine", "--input", str(basket_path), "--skip-header",
+            "--min-support", "0.42", "--min-confidence", "0.8"])
+        assert code == 2
+        assert out == ""
+        assert err == ("error: --skip-header applies only to --format "
+                       "tidpairs, not basket\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["mine", "--max-antecedent", "0"], "must be >= 1, got 0"),
+        (["mine", "--min-items", "x"], "not an integer: 'x'"),
+        (["gen", "--transactions", "0"], "must be >= 1, got 0"),
+        (["gen", "--items", "-3"], "must be >= 1, got -3"),
+        (["gen", "--basket-min", "0"], "must be >= 1, got 0"),
+        (["gen", "--basket-max", "1.5"], "not an integer: '1.5'"),
+        (["gen", "--seed", "-1"], "must be >= 0, got -1"),
+    ])
+    def test_integer_flags_keep_their_bounds(self, capsys, basket_path,
+                                             argv, message):
+        if argv[0] == "mine":
+            argv = argv + ["--input", str(basket_path), "--min-support",
+                           "0.5", "--min-confidence", "0.5"]
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(argv)
+        assert exc_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"error: argument {argv[1]}: {message}\n")
+
     def test_tidpairs_matches_basket(self, capsys, basket_path, pairs_path):
         argv_tail = ["--min-support", "0.42", "--min-confidence", "0.8",
                      "--output", "json"]

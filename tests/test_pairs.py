@@ -13,7 +13,7 @@ BOUNDARY_NS = [0, 1, 63, 64, 65]
 
 
 def both_paths(rows, width, threshold):
-    return (count_by_covers(covers(rows, width), threshold),
+    return (count_by_covers(covers(rows, width, range(width)), threshold),
             count_by_prefixes(rows, width, threshold))
 
 
@@ -31,13 +31,14 @@ def test_each_path_matches_brute_force(n, data):
     by_covers, by_prefixes = both_paths(rows, width, threshold)
     assert by_covers == expected
     assert by_prefixes == expected
-    every = covers(rows, width)
+    every = covers(rows, width, range(width))
     counted, built = pair_counts(rows, width, threshold)
     assert counted == expected
     assert built == (every if pairs._covers_cheaper(rows, width) else None)
     wanted = data.draw(st.lists(st.integers(0, max(width - 1, 0)),
                                 unique=True, max_size=width), label="wanted")
-    assert pairs.covers_of(rows, width, wanted) == [every[p] for p in wanted]
+    assert covers(rows, width, wanted) == [
+        sum(1 << i for i, row in enumerate(rows) if p in row) for p in wanted]
 
 
 @pytest.mark.parametrize("n", BOUNDARY_NS)

@@ -90,6 +90,16 @@ class TestGenerateRules:
         assert {len(r.antecedent) for r in capped} == {1}
         assert len(capped) == 9
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_max_antecedent_below_one_is_refused(self, grocery_db, cap):
+        params = MiningParams(Fraction(3, 7), Fraction(1, 2))
+        frequents = self._grocery_frequents(grocery_db)
+        assert len(generate_rules(frequents, grocery_db, params,
+                                  max_antecedent=1)) == 6
+        with pytest.raises(ValueError,
+                           match=f"max_antecedent must be >= 1, got {cap}"):
+            generate_rules(frequents, grocery_db, params, max_antecedent=cap)
+
     def test_missing_subset_count_is_inconsistency(self, grocery_db):
         broken = [FrequentItemset((1, 2), 4)]
         params = MiningParams(Fraction(3, 7), Fraction(1, 2))
