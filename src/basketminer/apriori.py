@@ -31,14 +31,14 @@ from . import pairs
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Deduplicated size-k candidates, each surviving subset pruning.
+    """Deduplicated candidates, all of one size, each surviving subset
+    pruning.
 
     Not re-checked here: ``candidate_gen``, the one builder, joins only
     itemsets of one size k - 1 into ``prefix + (a, b)``, and refuses a
     level of mixed sizes.
     """
 
-    k: int
     candidates: tuple[ItemSet, ...]
 
 
@@ -64,7 +64,7 @@ def candidate_gen(prev_level: Sequence[FrequentItemset]) -> CandidateSet:
     Output is lexicographically ordered and duplicate-free by construction.
     """
     if not prev_level:
-        return CandidateSet(2, ())
+        return CandidateSet(())
     sizes = {len(f.itemset) for f in prev_level}
     if len(sizes) != 1:
         raise ValueError(
@@ -80,7 +80,7 @@ def candidate_gen(prev_level: Sequence[FrequentItemset]) -> CandidateSet:
                 if all(candidate[:j] + candidate[j + 1:] in prev_sets
                        for j in range(k - 2)):
                     candidates.append(candidate)
-    return CandidateSet(k, tuple(candidates))
+    return CandidateSet(tuple(candidates))
 
 
 def _count(covers: dict[int, int], candidate_set: CandidateSet,

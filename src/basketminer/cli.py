@@ -4,8 +4,9 @@
 whole percents (a half rounded up), CSV and JSON print exact ratios in
 lowest terms, and JSON adds the nearest float.
 
-Exit codes: 0 success, 2 bad flags or config, 3 ingestion failure,
-4 guard refusal (brute force on an oversized universe).
+Exit codes: 0 success, 2 bad flags or config, 3 unreadable input or
+unwritable output (a closed standard output included), 4 guard refusal
+(brute force on an oversized universe).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -326,6 +328,24 @@ def rules_as_json(ruleset: RuleSet, db: TransactionDb, algorithm: str,
     return "{\n  " + ",\n  ".join(fields) + "\n}\n"
 
 
+def write_stdout(text: str) -> None:
+    """Write ``text`` to standard output and flush it.
+
+    A failed write, such as to a pipe whose reader has gone, raises
+    ``IngestionError``. The output descriptor is then pointed at the null
+    device, so that the interpreter's own flush at exit finds nothing to
+    fail on and prints no "Exception ignored" text.
+    """
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise IngestionError(f"cannot write standard output: {exc}") from exc
+
+
 def cmd_mine(args: argparse.Namespace) -> int:
     db = load_db(args.input, args.format, skip_header=args.skip_header,
                  min_items=args.min_items)
@@ -341,7 +361,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
         text = rules_as_csv(ruleset, db, shown)
     else:
         text = rules_as_table(ruleset, db, shown)
-    sys.stdout.write(text)
+    write_stdout(text)
     return EXIT_OK
 
 
@@ -355,7 +375,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     db = generate_db(config)
     text = to_basket_text(db)
     if args.output == "-":
-        sys.stdout.write(text)
+        write_stdout(text)
     else:
         try:
             Path(args.output).write_text(text, encoding="utf-8")

@@ -1,24 +1,21 @@
 """Candidate-generation-free mining via a frequency-ordered prefix tree.
 
-Transactions are filtered to frequent items, reordered by descending
-item frequency (ties broken by ascending item id), and inserted into a
-prefix tree whose shared prefixes merge with accumulated counts. A
-header table chains all nodes of each item, enabling conditional
-pattern-base extraction. Mining recurses over conditional trees; a
-single-path tree short-circuits into direct subset enumeration. Each
-pattern base is counted before it is built, so a base in which no item
-reaches the threshold is never built.
+FP-Growth as in Han, Pei & Yin (SIGMOD 2000). Transactions are filtered
+to frequent items, reordered by descending item frequency (ties broken by
+ascending item id), and inserted into a prefix tree whose shared prefixes
+merge with accumulated counts. A header table chains all nodes of each
+item, enabling conditional pattern-base extraction. Mining recurses over
+conditional trees; a single-path tree short-circuits into direct subset
+enumeration.
 
-``build_fp_tree`` ranks each transaction's frequent items in header order
-once and uses the ranked rows twice. ``pairs.pair_counts`` counts their
-pairs into the tree's FP-array (Grahne & Zhu, FIMI 2003): for each item,
-the frequent items of its conditional pattern base. Mining reads the top
-tree's bases from it; conditional trees have none and count their bases
-by walking their nodes' ancestors. The same rows, sorted, are the tree's
-paths: inserted in sorted order, each path shares exactly its common
-prefix with the one before it, so no child lookup is needed, and counts
-are summed bottom-up in one reverse pass. Conditional trees are inserted
-the same way.
+One builder makes every tree, the top tree from the transactions (each of
+weight 1) and each conditional tree from its pattern base. It turns each
+row into its ascending tuple of header ranks and inserts the distinct
+tuples in sorted order, so each path shares exactly its common prefix with
+the one before it: no child lookup is needed, and counts are summed
+bottom-up in one reverse pass. Each pattern base is walked once, its item
+totals summed on the way, and a conditional tree is built only when some
+item reaches the threshold.
 
 The tree is stored as parallel int lists indexed by node: ``item``,
 ``count``, ``parent`` and ``next_same_item``. Node 0 is the root, and
@@ -29,14 +26,12 @@ lists hold only ints, so the cyclic garbage collector has nothing to walk,
 and a tree no longer used is freed at once by reference counting.
 
 A tree is pinned to the threshold it was built with, and it is mined at
-that threshold, as in Han, Pei & Yin (SIGMOD 2000): ``fp_growth_mine``
-takes the tree and nothing else. Output is count-for-count identical to
-the Apriori engine.
+that threshold: ``fp_growth_mine`` takes the tree and nothing else.
+Output is count-for-count identical to the Apriori engine.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -47,7 +42,6 @@ from .core import (
     MiningParams,
     TransactionDb,
 )
-from .pairs import PairCounts, pair_counts
 
 ROOT_ITEM = -1
 
@@ -74,9 +68,7 @@ class FpTree:
     ``item``, ``count``, ``parent`` and ``next_same_item`` are indexed by
     node; node 0 is the root, whose own ``parent`` entry is never read.
     ``next_same_item`` threads each header chain, newest node first, and
-    0 ends it. ``fp_array[p]`` lists the (rank q, count) pairs of the
-    frequent items in the conditional pattern base of the item at header
-    rank p; ``build_fp_tree`` sets it, and it is None on conditional trees.
+    0 ends it.
     """
 
     def __init__(self, threshold: int):
@@ -86,7 +78,6 @@ class FpTree:
         self.next_same_item = [0]
         self.header: list[HeaderEntry] = []
         self.threshold = threshold
-        self.fp_array: PairCounts | None = None
 
     @property
     def node_count(self) -> int:
@@ -117,31 +108,20 @@ def _header(totals: Iterable[tuple[int, int]],
 def _build_tree(rows: Iterable[WeightedRow], header: list[HeaderEntry],
                 threshold: int) -> FpTree:
     """The tree of each row's header items in header order; ``header``
-    holds the rows' item totals."""
-    rank = _ranks(header)
+    holds the rows' item totals.
+
+    Each row becomes its ascending tuple of header ranks, and equal tuples
+    merge their weights. The tuples are inserted in sorted order, so each
+    one shares exactly its common prefix with the one before it, and only
+    the nodes of that path (``stack``) can be reused. A path's weight goes
+    on its last node, and one reverse pass then adds each node's count to
+    its parent's, so the root ends up with the total weight.
+    """
+    rank = {entry.item: position for position, entry in enumerate(header)}
     paths: dict[tuple[int, ...], int] = {}
     for items, weight in rows:
         path = tuple(sorted([rank[i] for i in items if i in rank]))
         paths[path] = paths.get(path, 0) + weight
-    return _insert_sorted(paths, header, threshold)
-
-
-def _ranks(header: list[HeaderEntry]) -> dict[int, int]:
-    """Each header item's position in the header."""
-    return {entry.item: position for position, entry in enumerate(header)}
-
-
-def _insert_sorted(paths: dict[tuple[int, ...], int],
-                   header: list[HeaderEntry], threshold: int) -> FpTree:
-    """The tree of ``paths``, which maps ascending tuples of header ranks
-    to their weights.
-
-    Paths are inserted in sorted order, so each one shares exactly its
-    common prefix with the path before it, and only the nodes of that
-    path (``stack``) can be reused. A path's weight goes on its last node,
-    and one reverse pass then adds each node's count to its parent's, so
-    the root ends up with the total weight.
-    """
     tree = FpTree(threshold)
     tree.header = header
     by_rank = [entry.item for entry in header]
@@ -177,57 +157,38 @@ def _insert_sorted(paths: dict[tuple[int, ...], int],
 
 
 def build_fp_tree(db: TransactionDb, threshold: int) -> FpTree:
-    """First pass drops items below ``threshold``; the second ranks each
-    transaction's surviving items in header order once, builds the tree
-    from the ranked rows and counts their pairs into ``tree.fp_array``."""
+    """The tree of ``db``'s transactions over the items reaching
+    ``threshold``."""
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
     header = _header(db.item_frequencies().items(), threshold)
-    rank = _ranks(header)
-    rows = [tuple(sorted([rank[i] for i in t if i in rank]))
-            for t in db.transactions]
-    # Pairs first: what counting them holds, the covers included, is freed
-    # before the tree grows.
-    fp_array = pair_counts(rows, len(header), threshold)[0]
-    tree = _insert_sorted(Counter(rows), header, threshold)
-    tree.fp_array = fp_array
-    return tree
+    return _build_tree(((t, 1) for t in db.transactions), header, threshold)
 
 
-def _base_totals(tree: FpTree, entry: HeaderEntry) -> dict[int, int]:
-    """Each item's total in the conditional pattern base of ``entry``: the
-    summed counts of the entry's nodes that lie below a node of the item."""
+def _pattern_base(tree: FpTree, entry: HeaderEntry
+                  ) -> tuple[list[WeightedRow], dict[int, int]]:
+    """The conditional pattern base of ``entry``, and each item's total in
+    it: one row per node of the entry's chain with a non-root ancestor,
+    holding those ancestors and weighted by the node's count."""
     item, count, parent, next_same_item = (
         tree.item, tree.count, tree.parent, tree.next_same_item)
+    rows: list[WeightedRow] = []
     totals: dict[int, int] = {}
     total_of = totals.get
     node = entry.head
     while node:
         weight = count[node]
-        ancestor = parent[node]
-        while ancestor:
-            above = item[ancestor]
-            totals[above] = total_of(above, 0) + weight
-            ancestor = parent[ancestor]
-        node = next_same_item[node]
-    return totals
-
-
-def _pattern_base(tree: FpTree, entry: HeaderEntry) -> list[WeightedRow]:
-    item, count, parent, next_same_item = (
-        tree.item, tree.count, tree.parent, tree.next_same_item)
-    rows: list[WeightedRow] = []
-    node = entry.head
-    while node:
         path = []
         ancestor = parent[node]
         while ancestor:
-            path.append(item[ancestor])
+            above = item[ancestor]
+            path.append(above)
+            totals[above] = total_of(above, 0) + weight
             ancestor = parent[ancestor]
         if path:
-            rows.append((path, count[node]))
+            rows.append((path, weight))
         node = next_same_item[node]
-    return rows
+    return rows, totals
 
 
 def _mine(tree: FpTree, suffix: ItemSet, out: list[FrequentItemset]) -> None:
@@ -239,24 +200,15 @@ def _mine(tree: FpTree, suffix: ItemSet, out: list[FrequentItemset]) -> None:
                 items = tuple(sorted(suffix + tuple(item[n] for n in combo)))
                 out.append(FrequentItemset(items, min(count[n] for n in combo)))
         return
-    threshold, header, fp_array = tree.threshold, tree.header, tree.fp_array
+    threshold = tree.threshold
     # Least-frequent items first: their conditional trees are smallest.
-    for position in reversed(range(len(header))):
-        entry = header[position]
+    for entry in reversed(tree.header):
         extended = tuple(sorted(suffix + (entry.item,)))
         out.append(FrequentItemset(extended, entry.total))
-        # Count the pattern base before building it: most bases hold no
-        # item that reaches the threshold, and then nothing else is done.
-        # The top tree counted every base while it was built.
-        if fp_array is None:
-            totals = _base_totals(tree, entry).items()
-        else:
-            totals = [(header[q].item, count) for q, count in fp_array[position]]
-        base_header = _header(totals, threshold)
+        rows, totals = _pattern_base(tree, entry)
+        base_header = _header(totals.items(), threshold)
         if base_header:
-            conditional = _build_tree(_pattern_base(tree, entry), base_header,
-                                      threshold)
-            _mine(conditional, extended, out)
+            _mine(_build_tree(rows, base_header, threshold), extended, out)
 
 
 def fp_growth_mine(tree: FpTree) -> list[FrequentItemset]:

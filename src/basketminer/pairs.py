@@ -1,13 +1,9 @@
-"""Exact pair counting: FP-Growth's first level and Apriori's second.
+"""Exact pair counting: Apriori's second level.
 
-Both engines start deep mining by counting, for every frequent item p, the
-items q that occur with it often enough. FP-Growth needs the frequent items
-of p's conditional pattern base, which are the items ranked before p that
-share a transaction with it; counting them while the tree is built is
-Grahne & Zhu's FP-array ("Efficiently Using Prefix-trees in Mining Frequent
-Itemsets", FIMI 2003). Apriori needs its frequent 2-itemsets. Both are the
-same count over rows of dense ints, and ``pair_counts`` does it in one of
-two ways:
+Apriori's level 2 joins every pair of frequent items, so finding its
+frequent 2-itemsets means counting, for every frequent item p, the items
+q that occur with it often enough. That is one count over rows of dense
+ints, and ``pair_counts`` does it in one of two ways:
 
 * by covers: each int's cover is an N-bit int whose bit i is set iff row i
   holds it, and a pair's count is the population count of the two covers'

@@ -266,8 +266,8 @@ def test_criterion_5_scale_smoke():
     del from_apriori
 
     # Untimed, since tracemalloc slows mining several times over. The
-    # peaks measured 89.1 MiB for FP-Growth on Python 3.10, 3.11 and 3.12,
-    # and 13.6-13.7 MiB for Apriori on the same three.
+    # peaks measured 87.7 MiB for FP-Growth on Python 3.11, and
+    # 13.6-13.7 MiB for Apriori on Python 3.10, 3.11 and 3.12.
     peak = traced_peak(lambda: fp_growth_mine(build_fp_tree(db, threshold)))
     assert peak < 100 * 2**20, f"FP-Growth peaked at {peak / 2**20:.1f} MiB"
     apriori_peak = traced_peak(lambda: apriori_mine(db, params))

@@ -142,6 +142,16 @@ class TestMine:
         (["gen", "--basket-min", "0"], "must be >= 1, got 0"),
         (["gen", "--basket-max", "1.5"], "not an integer: '1.5'"),
         (["gen", "--seed", "-1"], "must be >= 0, got -1"),
+        (["mine", "--min-support", "abc"], "not a number: 'abc'"),
+        (["mine", "--min-support", "1/0"], "not a number: '1/0'"),
+        (["mine", "--min-confidence", "2"],
+         "threshold must be in (0, 1], got 2"),
+        (["gen", "--pattern", "a,b"],
+         "pattern needs a :probability suffix, got 'a,b'"),
+        (["gen", "--pattern", "a, :0.5"], "empty item label in 'a, :0.5'"),
+        (["gen", "--pattern", "a,b:often"], "not a probability: 'often'"),
+        (["gen", "--pattern", "a,b:1.5"],
+         "probability must be in [0, 1], got 1.5"),
     ])
     def test_integer_flags_keep_their_bounds(self, capsys, basket_path,
                                              argv, message):
@@ -631,15 +641,15 @@ def entry_point_command():
     return [sys.executable, "-c", f"from {module} import {function}; {function}()"]
 
 
-def run_entry_point(args):
+def run_entry_point(args, stdout=subprocess.PIPE):
     # The child must import the same basketminer as this process, not an
     # installed copy that might shadow the checkout.
     src_dir = Path(basketminer.__file__).resolve().parent.parent
     env = dict(os.environ)
     existing = env.get("PYTHONPATH")
     env["PYTHONPATH"] = str(src_dir) + (os.pathsep + existing if existing else "")
-    return subprocess.run(entry_point_command() + args,
-                          capture_output=True, text=True, env=env)
+    return subprocess.run(entry_point_command() + args, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env)
 
 
 class TestEntryPoint:
@@ -654,3 +664,23 @@ class TestEntryPoint:
             ["mine", "--input", str(tmp_path / "missing.basket")] + PAPER_FLAGS)
         assert proc.returncode == cli.EXIT_INGESTION
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("command", ["mine", "gen"])
+    def test_closed_stdout_exits_3_without_a_traceback(self, basket_path,
+                                                       command):
+        if command == "mine":
+            args = ["mine", "--input", str(basket_path), "--output", "csv"] \
+                + PAPER_FLAGS
+        else:
+            # More than the stream's 8 KiB buffer, so the write itself
+            # fails, not only the flush after it.
+            args = ["gen", "--transactions", "5000", "--output", "-"]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_entry_point(args, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == cli.EXIT_INGESTION
+        assert proc.stderr.startswith("error: cannot write standard output: ")
+        assert proc.stderr.count("\n") == 1

@@ -226,19 +226,6 @@ class TestSortedInsertion:
         rebuilt = _build_tree(rows, tree.header, 1)
         assert (rebuilt.single_path() is None) == branching
 
-    def test_fp_array_mines_as_the_walk_does(self):
-        rng = random.Random(14)
-        for _ in range(30):
-            db = random_db(rng, max_items=10, max_transactions=40)
-            threshold = rng.randint(1, db.n)
-            tree = build_fp_tree(db, threshold)
-            assert tree.fp_array is not None
-            walked = _build_tree(((t, 1) for t in db.transactions),
-                                 _header(db.item_frequencies().items(),
-                                         threshold), threshold)
-            assert walked.fp_array is None
-            assert fp_growth_mine(tree) == fp_growth_mine(walked)
-
 
 class TestMine:
     def test_grocery_matches_apriori(self, grocery_db):
