@@ -7,9 +7,11 @@ previous level. Support is counted vertically (Zaki, IEEE TKDE 2000):
 each frequent item gets a cover, the set of transactions holding it as an
 int bitset, and a candidate's count is the population count of the
 intersection of its items' covers. Level 2, where every pair of frequent
-items is a candidate, is counted by ``pairs``' kernel instead, which
-intersects those covers only when its cost rule finds that cheaper than
-counting the pairs inside each transaction.
+items is a candidate, is counted by ``pairs``' kernel instead. Its cost
+rule intersects every pair's covers only on dense data. Elsewhere it
+bounds each pair by the covers of blocks of items and intersects only the
+pairs whose bound reaches the threshold, or, when too many do, counts the
+pairs inside each transaction.
 """
 
 from __future__ import annotations
@@ -107,11 +109,12 @@ def mine_levels(db: TransactionDb, singletons: Sequence[FrequentItemset],
     pair of singletons, so its table is C(F, 2) for F singletons; it is
     counted by ``pairs.pair_counts`` over each transaction's frequent
     items, ranked by id. The levels above intersect covers, which are built
-    once, N/8 bytes each. When the kernel's cost rule picks covers for level
-    2, it returns them, and they serve the levels above. Otherwise covers are
-    built at the first level with candidates, and only for the items those
-    candidates use: a later candidate joins frequent itemsets of the level
-    before, so it uses no other item.
+    once, N/8 bytes each. When the kernel's cost rule picks every item's
+    covers for level 2, it returns them, and they serve the levels above.
+    Otherwise (blocks or prefixes) covers are built at the first level with
+    candidates, and only for the items those candidates use: a later
+    candidate joins frequent itemsets of the level before, so it uses no
+    other item.
     """
     items = sorted(f.itemset[0] for f in singletons)
     width = len(items)

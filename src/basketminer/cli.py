@@ -6,7 +6,7 @@ lowest terms, and JSON adds the nearest float.
 
 Exit codes: 0 success, 2 bad flags or config, 3 unreadable input or
 unwritable output (a closed standard output included), 4 guard refusal
-(brute force on an oversized universe).
+(brute force over more than 20 items, or past 2^22 subset tests).
 """
 
 from __future__ import annotations

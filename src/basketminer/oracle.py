@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .core import (
     ConfigError,
@@ -26,20 +27,24 @@ from .core import (
     TransactionDb,
 )
 
-# Bounds the item universe only, so at most 2^20 - 1 candidate itemsets;
-# it does not bound the work. Each candidate is counted by a scan of every
-# transaction, so a full enumeration grows with N: with one 20-item basket
-# at support 1/N, it took 7 s at N = 100 and 16-20 s at N = 400 (Python
-# 3.11, 2-core x86-64 host). A bound on the work itself is ROADMAP item
-# 4's work budget.
+# Bounds the item universe, so at most 2^20 - 1 candidate itemsets.
 MAX_ORACLE_ITEMS = 20
+# Bounds the work. Each candidate is counted by a subset test against
+# every transaction, so a level of k-itemsets over a universe U costs
+# C(|U|, k)·N tests, and the levels reached so far may not pass this sum.
+# Without it, one 20-item basket repeated N times at support 1/N took 7 s
+# at N = 100 and 16-20 s at N = 400. A test of a 10-itemset against a
+# 20-item transaction took 253 ns, so 2^22 tests take about a second at
+# most (Python 3.11, 2-core x86-64 host).
+MAX_ORACLE_TESTS = 2 ** 22
 
 
 def brute_force_mine(db: TransactionDb, params: MiningParams) -> list[FrequentItemset]:
     """Enumerate every non-empty itemset over the universe and count by scan.
 
     Same output contract as the real engines: exact counts, sorted by
-    (size, item ids). Guard-fails on universes above MAX_ORACLE_ITEMS.
+    (size, item ids). Guard-fails on universes above MAX_ORACLE_ITEMS, and
+    before a level that would take its subset tests past MAX_ORACLE_TESTS.
     """
     if db.n == 0:
         raise EmptyInputError("cannot mine an empty transaction database")
@@ -51,7 +56,14 @@ def brute_force_mine(db: TransactionDb, params: MiningParams) -> list[FrequentIt
     threshold = params.absolute_threshold(db.n)
     transactions = db.transaction_sets
     result: list[FrequentItemset] = []
+    tests = 0
     for size in range(1, universe + 1):
+        tests += comb(universe, size) * db.n
+        if tests > MAX_ORACLE_TESTS:
+            raise GuardError(
+                f"brute-force enumeration up to the {size}-itemsets would "
+                f"take {tests} subset tests, past the {MAX_ORACLE_TESTS}-test "
+                f"guard; use a real engine")
         found_any = False
         for candidate in combinations(range(universe), size):
             needed = frozenset(candidate)

@@ -1,6 +1,7 @@
 """Shared test utilities: direct db builders, the uncached reference
 parsers that ingest is checked and timed against, the reference that pair
-counting is checked against, and perfbench's independent miner."""
+counting is checked against, each pair kernel on its own, and perfbench's
+independent miner."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from pathlib import Path
 from types import ModuleType
 from typing import Iterable, Sequence
 
+from basketminer import pairs
 from basketminer.core import (
     EmptyInputError,
     IngestionError,
@@ -103,6 +105,23 @@ def brute_pair_counts(rows, width, threshold):
                 pairs.append((q, count))
         found.append(pairs)
     return found
+
+
+PAIR_KERNELS = ("covers", "blocks", "prefixes")
+
+
+def forced_pair_counts(kernel: str):
+    """``pairs.pair_counts`` with its cost rule set aside: every count goes
+    through ``kernel``, one of ``PAIR_KERNELS``, and blocks never hand over
+    to prefixes."""
+    def counted(rows, width, threshold):
+        if kernel == "covers":
+            built = pairs.covers(rows, width, range(width))
+            return pairs.count_by_covers(built, threshold), built
+        if kernel == "blocks":
+            return pairs.count_by_blocks(rows, width, threshold), None
+        return pairs.count_by_prefixes(rows, width, threshold), None
+    return counted
 
 
 @cache

@@ -28,9 +28,11 @@ from basketminer.fpgrowth import mine as fpgrowth_mine
 from basketminer.oracle import GeneratorConfig, brute_force_mine, generate_db
 from basketminer.rules import generate_rules
 from helpers import (
+    PAIR_KERNELS,
     as_pairs,
     basket_reference,
     db_from_ids,
+    forced_pair_counts,
     labelled_counts,
     random_db,
     reference_itemsets,
@@ -119,14 +121,12 @@ def test_criterion_3_cross_engine_equivalence():
           f"three engines identical, in {elapsed:.1f}s")
 
 
-@pytest.mark.parametrize("covers_cheaper", [True, False],
-                         ids=["covers", "prefixes"])
-def test_cross_engine_equivalence_on_each_pair_path(monkeypatch, covers_cheaper):
+@pytest.mark.parametrize("kernel", PAIR_KERNELS)
+def test_cross_engine_equivalence_on_each_pair_path(monkeypatch, kernel):
     # On the sweep's small databases the cost rule picks covers whenever
-    # there are two or more frequent items to pair; forcing the rule runs
-    # every database through each path.
-    monkeypatch.setattr(pairs, "_covers_cheaper",
-                        lambda rows, width: covers_cheaper)
+    # there are two or more frequent items to pair; forcing one kernel runs
+    # every database through it, the block filter without a hand-over.
+    monkeypatch.setattr(pairs, "pair_counts", forced_pair_counts(kernel))
     assert cross_engine_sweep() >= 500
 
 

@@ -59,6 +59,15 @@ class TestBruteForceMine:
         db = db_from_ids([(0, 1)], MAX_ORACLE_ITEMS)
         assert brute_force_mine(db, MiningParams(1, 1))
 
+    def test_work_guard_counts_only_the_levels_reached(self):
+        # Level 3 is empty, so the enumeration stops there, after 540,000
+        # subset tests; all 20 levels would take 419,430,000, past the
+        # guard's 2^22.
+        db = db_from_ids([(0, 1)] * 400, MAX_ORACLE_ITEMS)
+        result = brute_force_mine(db, MiningParams(Fraction(1, 400), 1))
+        assert [(f.itemset, f.count) for f in result] == [
+            ((0,), 400), ((1,), 400), ((0, 1), 400)]
+
     def test_empty_db_rejected(self):
         empty = TransactionDb((), ItemDictionary())
         with pytest.raises(EmptyInputError):

@@ -1,20 +1,30 @@
 import random
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from basketminer import pairs
-from basketminer.pairs import count_by_covers, count_by_prefixes, covers, pair_counts
-from helpers import brute_pair_counts
+from basketminer.pairs import (
+    _block_cap,
+    _cut_blocks,
+    count_by_blocks,
+    count_by_prefixes,
+    covers,
+    pair_counts,
+)
+from helpers import PAIR_KERNELS, brute_pair_counts, forced_pair_counts
 
 # Row counts at and around the 64-bit word boundary of a cover.
 BOUNDARY_NS = [0, 1, 63, 64, 65]
 
 
-def both_paths(rows, width, threshold):
-    return (count_by_covers(covers(rows, width, range(width)), threshold),
-            count_by_prefixes(rows, width, threshold))
+def every_path(rows, width, threshold):
+    """The counts of each kernel, the block filter run even where it would
+    hand over to prefixes."""
+    return [forced_pair_counts(kernel)(rows, width, threshold)[0]
+            for kernel in PAIR_KERNELS]
 
 
 @pytest.mark.parametrize("n", BOUNDARY_NS)
@@ -28,13 +38,11 @@ def test_each_path_matches_brute_force(n, data):
     # n + 1 is above every count.
     threshold = data.draw(st.integers(1, n + 1), label="threshold")
     expected = brute_pair_counts(rows, width, threshold)
-    by_covers, by_prefixes = both_paths(rows, width, threshold)
-    assert by_covers == expected
-    assert by_prefixes == expected
+    assert every_path(rows, width, threshold) == [expected] * 3
     every = covers(rows, width, range(width))
     counted, built = pair_counts(rows, width, threshold)
     assert counted == expected
-    assert built == (every if pairs._covers_cheaper(rows, width) else None)
+    assert built is None or built == every
     wanted = data.draw(st.lists(st.integers(0, max(width - 1, 0)),
                                 unique=True, max_size=width), label="wanted")
     assert covers(rows, width, wanted) == [
@@ -46,12 +54,31 @@ def test_edges_on_both_paths(n):
     rng = random.Random(n)
     rows = [tuple(sorted(rng.sample(range(5), rng.randint(0, 5))))
             for _ in range(n)]
-    assert both_paths([()] * n, 0, 1) == ([], [])
-    assert both_paths([(0,)] * n, 1, 1) == ([[]], [[]])
-    assert both_paths(rows, 5, n + 1) == ([[]] * 5, [[]] * 5)
+    assert every_path([()] * n, 0, 1) == [[]] * 3
+    assert every_path([(0,)] * n, 1, 1) == [[[]]] * 3
+    assert every_path(rows, 5, n + 1) == [[[]] * 5] * 3
     full = [(0, 1, 2)] * n
     expected = [[], [(0, n)], [(0, n), (1, n)]] if n else [[], [], []]
-    assert both_paths(full, 3, 1) == (expected, expected)
+    assert every_path(full, 3, 1) == [expected] * 3
+    # Each int of ``full`` is in every row, above the cap, so all are heavy
+    # and the block path counts them by their rows alone.
+    layout = ([-1] * 3, []) if n else ([0] * 3, [[0, 1, 2]])
+    assert _cut_blocks([n] * 3, _block_cap(1, n)) == layout
+
+
+def test_block_bounds_at_exactly_the_threshold():
+    # 64 rows at threshold 4: the cap is 3·√256/4 = 12, so seven ints of
+    # count 4 make blocks of 3, 3 and 1. Each frequent pair occurs in
+    # exactly 4 rows, and so does its block bound: across blocks 0 and 1
+    # for (0, 3), blocks 0 and 2 for (1, 6) and (2, 6), and inside blocks 0
+    # and 1 for (1, 2) and (4, 5). A bound tested one too high loses them.
+    rows = ([(0, 3)] * 4 + [(1, 2, 6)] * 4 + [(4, 5)] * 4) + [()] * 52
+    assert _cut_blocks([4] * 7, _block_cap(4, 64)) == (
+        [0, 0, 0, 1, 1, 1, 2], [[0, 1, 2], [3, 4, 5], [6]])
+    expected = [[], [], [(1, 4)], [(0, 4)], [], [(4, 4)], [(1, 4), (2, 4)]]
+    assert brute_pair_counts(rows, 7, 4) == expected
+    assert count_by_blocks(rows, 7, 4) == expected
+    assert count_by_blocks(rows, 7, 5) == [[]] * 7
 
 
 def shaped_rows(seed, n, width, sizes):
@@ -63,15 +90,57 @@ def shaped_rows(seed, n, width, sizes):
             for _ in range(n)]
 
 
-@pytest.mark.parametrize("shape, covers_cheaper", [
+def spy_on_kernels(monkeypatch):
+    """Each kernel that runs, from then on, as (name, whether it counted)
+    in the returned list: a count by blocks may hand over (None)."""
+    ran = []
+    for name in ("count_by_covers", "count_by_blocks", "count_by_prefixes"):
+        def spy(*args, kernel=getattr(pairs, name), name=name):
+            counted = kernel(*args)
+            ran.append((name, counted is not None))
+            return counted
+        monkeypatch.setattr(pairs, name, spy)
+    return ran
+
+
+@pytest.mark.parametrize("shape, threshold, kernel", [
     # dense: 20k rows over 100 frequent items, 5-15 each.
-    ((20_000, 100, (5, 15)), True),
+    ((20_000, 100, (5, 15)), 600, "count_by_covers"),
     # sparse: 15k rows over 1000 frequent items, 8-20 each.
-    ((15_000, 1000, (8, 20)), False),
+    ((15_000, 1000, (8, 20)), 150, "count_by_blocks"),
     # quest: 20k rows over 428 frequent items, about 9 each.
-    ((20_000, 428, (5, 13)), False),
+    ((20_000, 428, (5, 13)), 170, "count_by_blocks"),
 ], ids=["dense", "sparse", "quest"])
-def test_cost_rule_picks_the_cheaper_path(shape, covers_cheaper):
+def test_cost_rule_picks_the_cheaper_path(monkeypatch, shape, threshold,
+                                          kernel):
     n, width, sizes = shape
-    assert pairs._covers_cheaper(shaped_rows(1, n, width, sizes), width) \
-        is covers_cheaper
+    rows = shaped_rows(1, n, width, sizes)
+    ran = spy_on_kernels(monkeypatch)
+    pair_counts(rows, width, threshold)
+    assert ran == [(kernel, True)]
+
+
+def best_of(runs, call):
+    """The least time of ``runs`` calls of ``call``."""
+    times = []
+    for _ in range(runs):
+        started = perf_counter()
+        call()
+        times.append(perf_counter() - started)
+    return min(times)
+
+
+def test_unprunable_shape_falls_back_to_prefixes(monkeypatch):
+    # The cap, 3·⌊√(4·8192)⌋/4 = 135, counts the 7680 empty rows too, so
+    # the 63 blocks hold about 16 ints each, and every one of their 1953
+    # pairs meets in 4 rows or more: the filter prunes none. Intersecting
+    # all 499,500 int pairs would cost 65 times what prefixes cost.
+    rows = shaped_rows(1, 512, 1000, (16, 16)) + [()] * 7680
+    by_prefixes = count_by_prefixes(rows, 1000, 4)
+    assert count_by_blocks(rows, 1000, 4) == by_prefixes
+    chosen = best_of(3, lambda: pair_counts(rows, 1000, 4))
+    alone = best_of(3, lambda: count_by_prefixes(rows, 1000, 4))
+    assert chosen < 2 * alone + 0.01, (chosen, alone)
+    ran = spy_on_kernels(monkeypatch)
+    assert pair_counts(rows, 1000, 4) == (by_prefixes, None)
+    assert ran == [("count_by_blocks", False), ("count_by_prefixes", True)]
