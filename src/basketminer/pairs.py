@@ -61,13 +61,19 @@ def pair_counts(rows: Sequence[Row], width: int,
     Each row is an ascending tuple of ints below ``width``.
     """
     budget = _prefix_cost(rows)
-    if width * (width - 1) // 2 * (-(-len(rows) // 64)) < budget:
+    if _covers_cost(len(rows), width) < budget:
         built = covers(rows, width, range(width))
         return count_by_covers(built, threshold), built
     counted = count_by_blocks(rows, width, threshold, budget)
     if counted is None:
         counted = count_by_prefixes(rows, width, threshold)
     return counted, None
+
+
+def _covers_cost(n: int, width: int) -> int:
+    """What ``count_by_covers`` costs, in intersected words: C(width, 2)
+    intersections of ⌈n/64⌉ words."""
+    return width * (width - 1) // 2 * (-(-n // 64))
 
 
 def _prefix_cost(rows: Sequence[Row]) -> int:
@@ -114,7 +120,7 @@ def _cut_blocks(counts: Sequence[int],
 
 
 def count_by_blocks(rows: Sequence[Row], width: int, threshold: int,
-                    budget: int | None = None) -> PairCounts | None:
+                    budget: int) -> PairCounts | None:
     """``pair_counts`` by block covers, or None when the work left after
     the block filter would cost more than ``budget`` intersected words.
 
@@ -130,9 +136,7 @@ def count_by_blocks(rows: Sequence[Row], width: int, threshold: int,
     for p, count in Counter(chain.from_iterable(rows)).items():
         counts[p] = count
     block_of, members = _cut_blocks(counts, _block_cap(threshold, n))
-    words = -(-n // 64)
-    if budget is not None and \
-            len(members) * (len(members) - 1) // 2 * words > budget:
+    if _covers_cost(n, len(members)) > budget:
         return None
 
     # Bytearrays while they are built, then ints. Since each block is a run
@@ -167,8 +171,8 @@ def count_by_blocks(rows: Sequence[Row], width: int, threshold: int,
     exact = sum([len(members[a]) * len(members[b]) for a, b in live]) + sum(
         [len(members[b]) * (len(members[b]) - 1) // 2 for b in inside])
     heavy_elements = sum(map(len, chain.from_iterable(heavy.values())))
-    if budget is not None and \
-            exact * words + _WORDS_PER_PAIR * heavy_elements > budget:
+    words = -(-n // 64)  # per exact intersection
+    if exact * words + _WORDS_PER_PAIR * heavy_elements > budget:
         return None
 
     found: PairCounts = [[] for _ in range(width)]

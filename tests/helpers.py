@@ -108,6 +108,9 @@ def brute_pair_counts(rows, width, threshold):
 
 
 PAIR_KERNELS = ("covers", "blocks", "prefixes")
+# A ``count_by_blocks`` budget above any cost a test input reaches, so the
+# block filter never hands over to prefixes.
+NO_HAND_OVER = 1 << 64
 
 
 def forced_pair_counts(kernel: str):
@@ -119,7 +122,8 @@ def forced_pair_counts(kernel: str):
             built = pairs.covers(rows, width, range(width))
             return pairs.count_by_covers(built, threshold), built
         if kernel == "blocks":
-            return pairs.count_by_blocks(rows, width, threshold), None
+            return pairs.count_by_blocks(rows, width, threshold,
+                                         NO_HAND_OVER), None
         return pairs.count_by_prefixes(rows, width, threshold), None
     return counted
 

@@ -14,7 +14,12 @@ from basketminer.pairs import (
     covers,
     pair_counts,
 )
-from helpers import PAIR_KERNELS, brute_pair_counts, forced_pair_counts
+from helpers import (
+    NO_HAND_OVER,
+    PAIR_KERNELS,
+    brute_pair_counts,
+    forced_pair_counts,
+)
 
 # Row counts at and around the 64-bit word boundary of a cover.
 BOUNDARY_NS = [0, 1, 63, 64, 65]
@@ -42,7 +47,8 @@ def test_each_path_matches_brute_force(n, data):
     every = covers(rows, width, range(width))
     counted, built = pair_counts(rows, width, threshold)
     assert counted == expected
-    assert built is None or built == every
+    covered = pairs._covers_cost(n, width) < pairs._prefix_cost(rows)
+    assert built == (every if covered else None)
     wanted = data.draw(st.lists(st.integers(0, max(width - 1, 0)),
                                 unique=True, max_size=width), label="wanted")
     assert covers(rows, width, wanted) == [
@@ -77,8 +83,8 @@ def test_block_bounds_at_exactly_the_threshold():
         [0, 0, 0, 1, 1, 1, 2], [[0, 1, 2], [3, 4, 5], [6]])
     expected = [[], [], [(1, 4)], [(0, 4)], [], [(4, 4)], [(1, 4), (2, 4)]]
     assert brute_pair_counts(rows, 7, 4) == expected
-    assert count_by_blocks(rows, 7, 4) == expected
-    assert count_by_blocks(rows, 7, 5) == [[]] * 7
+    assert count_by_blocks(rows, 7, 4, NO_HAND_OVER) == expected
+    assert count_by_blocks(rows, 7, 5, NO_HAND_OVER) == [[]] * 7
 
 
 def shaped_rows(seed, n, width, sizes):
@@ -137,7 +143,7 @@ def test_unprunable_shape_falls_back_to_prefixes(monkeypatch):
     # all 499,500 int pairs would cost 65 times what prefixes cost.
     rows = shaped_rows(1, 512, 1000, (16, 16)) + [()] * 7680
     by_prefixes = count_by_prefixes(rows, 1000, 4)
-    assert count_by_blocks(rows, 1000, 4) == by_prefixes
+    assert count_by_blocks(rows, 1000, 4, NO_HAND_OVER) == by_prefixes
     chosen = best_of(3, lambda: pair_counts(rows, 1000, 4))
     alone = best_of(3, lambda: count_by_prefixes(rows, 1000, 4))
     assert chosen < 2 * alone + 0.01, (chosen, alone)
