@@ -16,7 +16,6 @@ pairs inside each transaction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, groupby
 from operator import itemgetter
 from typing import Sequence
@@ -24,6 +23,7 @@ from typing import Sequence
 from .core import (
     EmptyInputError,
     FrequentItemset,
+    Frozen,
     ItemSet,
     MiningParams,
     TransactionDb,
@@ -31,8 +31,7 @@ from .core import (
 from . import pairs
 
 
-@dataclass(frozen=True)
-class CandidateSet:
+class CandidateSet(Frozen):
     """Deduplicated candidates, all of one size, each surviving subset
     pruning.
 
@@ -41,7 +40,10 @@ class CandidateSet:
     level of mixed sizes.
     """
 
-    candidates: tuple[ItemSet, ...]
+    __slots__ = _fields = ("candidates",)
+
+    def __init__(self, candidates: tuple[ItemSet, ...]) -> None:
+        object.__setattr__(self, "candidates", candidates)
 
 
 def frequent_singletons(db: TransactionDb, threshold: int) -> list[FrequentItemset]:

@@ -7,19 +7,21 @@ lowest terms, and JSON adds the nearest float.
 Exit codes: 0 success, 2 bad flags or config, 3 unreadable input or
 unwritable output (a closed standard output included), 4 guard refusal
 (brute force over more than 20 items, or past 2^22 subset tests).
+
+Every ``basketminer`` run is a fresh process, so the module imports at its
+top only what a ``mine`` run with Apriori needs. ``oracle`` (with
+``random``) is imported by ``gen`` and ``--algorithm bruteforce``, ``json``
+by the JSON report, and ``csv`` by a CSV field that needs quoting.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import math
 import os
 import sys
 from fractions import Fraction
-from pathlib import Path
 from typing import Callable, Sequence
 
 from .apriori import apriori_mine
@@ -36,13 +38,21 @@ from .core import (
     read_lines,
     to_basket_text,
 )
-from .oracle import GeneratorConfig, brute_force_mine, generate_db
 from .rules import RuleSet, generate_rules
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INGESTION = 3
 EXIT_GUARD = 4
+
+
+def brute_force_mine(db: TransactionDb,
+                     params: MiningParams) -> list[FrequentItemset]:
+    """``oracle.brute_force_mine``; ``oracle`` is imported on first use,
+    so that a ``mine`` run with Apriori never loads it."""
+    from . import oracle
+    return oracle.brute_force_mine(db, params)
+
 
 # Each engine by its ``mine --algorithm`` name. ``apriori_mine`` looks its
 # phase functions up on its module at call time, so a caller that replaces
@@ -208,6 +218,7 @@ def csv_field(text: str) -> str:
     """``text`` as ``csv.writer`` writes it in a field (QUOTE_MINIMAL);
     text with a comma, quote or line break goes through ``csv`` itself."""
     if "," in text or '"' in text or "\n" in text or "\r" in text:
+        import csv
         buffer = io.StringIO()
         csv.writer(buffer, lineterminator="\n").writerow((text, ""))
         return buffer.getvalue()[:-2]
@@ -297,6 +308,7 @@ def rules_as_json(ruleset: RuleSet, db: TransactionDb, algorithm: str,
     """The report exactly as ``json.dumps(payload, indent=2)`` writes it,
     built as text so that each distinct label list and support is encoded
     once."""
+    import json
     labels = [json.dumps(label) for label in db.dictionary]
     n = ruleset.n_transactions
     deep = " " * 6
@@ -366,6 +378,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from .oracle import GeneratorConfig, generate_db
     config = GeneratorConfig(
         num_transactions=args.transactions,
         universe_size=args.items,
@@ -378,7 +391,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
         write_stdout(text)
     else:
         try:
-            Path(args.output).write_text(text, encoding="utf-8")
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
         except OSError as exc:
             raise IngestionError(f"cannot write {args.output}: {exc}") from exc
     print(f"generated {db.n} transactions over {len(db.dictionary)} distinct "

@@ -23,6 +23,13 @@ output cannot fail.
 
 All thresholds and scores are exact rationals (``fractions.Fraction``),
 never floats, so results are bit-reproducible across engines and runs.
+
+The package's value classes derive from ``Frozen``: plain ``__slots__``
+classes, immutable, compared and hashed by their fields, with the ``repr``
+a frozen dataclass would print. They are not dataclasses because
+``dataclasses`` imports ``inspect`` (and with it ``ast`` and ``dis``) and
+generates its methods at import time, which every ``basketminer``
+process would pay at start-up.
 """
 
 from __future__ import annotations
@@ -31,13 +38,52 @@ import codecs
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain
 from typing import BinaryIO, Iterable, Iterator
 
 ItemSet = tuple[int, ...]
+
+
+class Frozen:
+    """Base of the immutable value classes.
+
+    A subclass lists its fields in ``_fields``, in ``__init__`` order, and
+    also as ``__slots__``, beside any slot of its own; its ``__init__``
+    validates them and sets them with ``object.__setattr__``, as a frozen
+    dataclass's does. Instances equal only instances of their own class
+    with equal fields, hash by their fields, refuse assignment and
+    deletion with ``AttributeError``, and pickle and copy through
+    ``__init__``, so a copy is validated as the original was.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}"
+                            for name in self._fields])
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class MiningError(Exception):
@@ -130,28 +176,30 @@ class ItemDictionary:
         return f"ItemDictionary({len(self._labels)} items)"
 
 
-@dataclass(frozen=True)
-class TransactionDb:
+class TransactionDb(Frozen):
     """Immutable corpus of canonical transactions plus the item dictionary.
 
     Safe for concurrent reads; all mining engines treat it as read-only.
     """
 
-    transactions: tuple[ItemSet, ...]
-    dictionary: ItemDictionary
+    _fields = ("transactions", "dictionary")
+    __slots__ = _fields + ("_sets",)
 
-    def __post_init__(self) -> None:
-        n_items = len(self.dictionary)
-        for t in self.transactions:
+    def __init__(self, transactions: tuple[ItemSet, ...],
+                 dictionary: ItemDictionary) -> None:
+        n_items = len(dictionary)
+        for t in transactions:
             if any(a >= b for a, b in zip(t, t[1:])):
                 raise ValueError(f"transaction {t} is not strictly ascending")
             if t and (t[0] < 0 or t[-1] >= n_items):
                 raise DomainError(f"transaction {t} references an unknown item id")
+        object.__setattr__(self, "transactions", transactions)
+        object.__setattr__(self, "dictionary", dictionary)
 
     @classmethod
     def _trusted(cls, transactions: tuple[ItemSet, ...],
                  dictionary: ItemDictionary) -> TransactionDb:
-        """Build without ``__post_init__``'s check, for callers whose
+        """Build without ``__init__``'s check, for callers whose
         transactions are canonical and drawn from ``dictionary`` by
         construction."""
         db = cls.__new__(cls)
@@ -164,9 +212,15 @@ class TransactionDb:
         """Number of transactions."""
         return len(self.transactions)
 
-    @cached_property
+    @property
     def transaction_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(t) for t in self.transactions)
+        """Each transaction as a frozenset, built on first use and kept."""
+        try:
+            return self._sets
+        except AttributeError:
+            sets = tuple(frozenset(t) for t in self.transactions)
+            object.__setattr__(self, "_sets", sets)
+            return sets
 
     def item_frequencies(self) -> Counter[int]:
         """Per-item occurrence counts (one per containing transaction)."""
@@ -184,8 +238,7 @@ def _exact(value) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
-class MiningParams:
+class MiningParams(Frozen):
     """Mining thresholds: relative minimum support and minimum confidence.
 
     Both fractions must lie in (0, 1]. Values are normalized to exact
@@ -196,16 +249,18 @@ class MiningParams:
     size; ``min_confidence`` is for rule generation.
     """
 
-    min_support: Fraction
-    min_confidence: Fraction
+    __slots__ = _fields = ("min_support", "min_confidence")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "min_support", _exact(self.min_support))
-        object.__setattr__(self, "min_confidence", _exact(self.min_confidence))
-        if not 0 < self.min_support <= 1:
-            raise ValueError(f"min_support must be in (0, 1], got {self.min_support}")
-        if not 0 < self.min_confidence <= 1:
-            raise ValueError(f"min_confidence must be in (0, 1], got {self.min_confidence}")
+    def __init__(self, min_support: Fraction | int | float | str,
+                 min_confidence: Fraction | int | float | str) -> None:
+        min_support = _exact(min_support)
+        min_confidence = _exact(min_confidence)
+        if not 0 < min_support <= 1:
+            raise ValueError(f"min_support must be in (0, 1], got {min_support}")
+        if not 0 < min_confidence <= 1:
+            raise ValueError(f"min_confidence must be in (0, 1], got {min_confidence}")
+        object.__setattr__(self, "min_support", min_support)
+        object.__setattr__(self, "min_confidence", min_confidence)
 
     def absolute_threshold(self, n_transactions: int) -> int:
         """Absolute support-count threshold: ceil(min_support * N), >= 1.
@@ -216,22 +271,21 @@ class MiningParams:
         return max(1, math.ceil(self.min_support * n_transactions))
 
 
-@dataclass(frozen=True)
-class FrequentItemset:
+class FrequentItemset(Frozen):
     """A non-empty itemset with its exact support count."""
 
-    itemset: ItemSet
-    count: int
+    __slots__ = _fields = ("itemset", "count")
 
-    def __post_init__(self) -> None:
-        if not self.itemset:
+    def __init__(self, itemset: ItemSet, count: int) -> None:
+        if not itemset:
             raise ValueError("frequent itemset must be non-empty")
-        if self.count < 1:
+        if count < 1:
             raise ValueError("support count must be positive")
+        object.__setattr__(self, "itemset", itemset)
+        object.__setattr__(self, "count", count)
 
 
-@dataclass(frozen=True)
-class AssociationRule:
+class AssociationRule(Frozen):
     """A rule antecedent -> consequent with exact support and confidence.
 
     ``support`` is union_count / N and ``confidence`` is
@@ -239,19 +293,23 @@ class AssociationRule:
     antecedent_count <= N, confidence >= support always holds.
     """
 
-    antecedent: ItemSet
-    consequent: ItemSet
-    union_count: int
-    antecedent_count: int
-    n_transactions: int
+    __slots__ = _fields = ("antecedent", "consequent", "union_count",
+                           "antecedent_count", "n_transactions")
 
-    def __post_init__(self) -> None:
-        if not self.antecedent or not self.consequent:
+    def __init__(self, antecedent: ItemSet, consequent: ItemSet,
+                 union_count: int, antecedent_count: int,
+                 n_transactions: int) -> None:
+        if not antecedent or not consequent:
             raise ValueError("antecedent and consequent must be non-empty")
-        if set(self.antecedent) & set(self.consequent):
+        if set(antecedent) & set(consequent):
             raise ValueError("antecedent and consequent must be disjoint")
-        if not 0 < self.union_count <= self.antecedent_count <= self.n_transactions:
+        if not 0 < union_count <= antecedent_count <= n_transactions:
             raise ValueError("rule counts violate 0 < union <= antecedent <= N")
+        object.__setattr__(self, "antecedent", antecedent)
+        object.__setattr__(self, "consequent", consequent)
+        object.__setattr__(self, "union_count", union_count)
+        object.__setattr__(self, "antecedent_count", antecedent_count)
+        object.__setattr__(self, "n_transactions", n_transactions)
 
     @property
     def support(self) -> Fraction:

@@ -13,7 +13,6 @@ versions, so a given seed reproduces the same corpus everywhere.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
@@ -21,6 +20,7 @@ from .core import (
     ConfigError,
     EmptyInputError,
     FrequentItemset,
+    Frozen,
     GuardError,
     ItemDictionary,
     MiningParams,
@@ -77,8 +77,7 @@ def brute_force_mine(db: TransactionDb, params: MiningParams) -> list[FrequentIt
     return result
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
+class GeneratorConfig(Frozen):
     """Configuration for the synthetic basket generator.
 
     ``patterns`` embeds label groups with a per-transaction occurrence
@@ -86,29 +85,34 @@ class GeneratorConfig:
     the ``item_0001``-style universe used for random padding.
     """
 
-    num_transactions: int
-    universe_size: int
-    basket_size_range: tuple[int, int] = (1, 8)
-    patterns: tuple[tuple[tuple[str, ...], float], ...] = ()
-    seed: int = 0
+    __slots__ = _fields = ("num_transactions", "universe_size",
+                           "basket_size_range", "patterns", "seed")
 
-    def __post_init__(self) -> None:
-        if self.num_transactions < 1:
+    def __init__(self, num_transactions: int, universe_size: int,
+                 basket_size_range: tuple[int, int] = (1, 8),
+                 patterns: tuple[tuple[tuple[str, ...], float], ...] = (),
+                 seed: int = 0) -> None:
+        if num_transactions < 1:
             raise ConfigError("num_transactions must be a positive integer")
-        if self.universe_size < 1:
+        if universe_size < 1:
             raise ConfigError("universe_size must be a positive integer")
-        lo, hi = self.basket_size_range
-        if not 1 <= lo <= hi <= self.universe_size:
+        lo, hi = basket_size_range
+        if not 1 <= lo <= hi <= universe_size:
             raise ConfigError(
-                f"basket_size_range {self.basket_size_range} must satisfy "
-                f"1 <= min <= max <= universe_size ({self.universe_size})")
-        for labels, probability in self.patterns:
+                f"basket_size_range {basket_size_range} must satisfy "
+                f"1 <= min <= max <= universe_size ({universe_size})")
+        for labels, probability in patterns:
             if not labels or any(not label.strip() for label in labels):
                 raise ConfigError(f"pattern {labels!r} has empty labels")
             if not 0 <= probability <= 1:
                 raise ConfigError(f"pattern probability {probability} not in [0, 1]")
-        if not 0 <= self.seed < 2 ** 64:
+        if not 0 <= seed < 2 ** 64:
             raise ConfigError("seed must be an unsigned 64-bit integer")
+        object.__setattr__(self, "num_transactions", num_transactions)
+        object.__setattr__(self, "universe_size", universe_size)
+        object.__setattr__(self, "basket_size_range", basket_size_range)
+        object.__setattr__(self, "patterns", patterns)
+        object.__setattr__(self, "seed", seed)
 
 
 def item_label(index: int) -> str:

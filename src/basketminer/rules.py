@@ -15,13 +15,13 @@ renders the rows as text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .core import (
     AssociationRule,
     DomainError,
     FrequentItemset,
+    Frozen,
     InternalConsistencyError,
     ItemSet,
     MiningParams,
@@ -33,8 +33,7 @@ from .core import (
 RuleRow = tuple[int, int, ItemSet, ItemSet, int]
 
 
-@dataclass(frozen=True)
-class RuleSet:
+class RuleSet(Frozen):
     """Rules passing both thresholds, in canonical order.
 
     Canonical order: descending confidence, then descending support, then
@@ -43,9 +42,13 @@ class RuleSet:
     ``AssociationRule`` objects from the rows on demand.
     """
 
-    rows: tuple[RuleRow, ...]
-    params: MiningParams
-    n_transactions: int
+    __slots__ = _fields = ("rows", "params", "n_transactions")
+
+    def __init__(self, rows: tuple[RuleRow, ...], params: MiningParams,
+                 n_transactions: int) -> None:
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "n_transactions", n_transactions)
 
     @property
     def rules(self) -> tuple[AssociationRule, ...]:

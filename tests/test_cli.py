@@ -320,6 +320,7 @@ class TestSubcommands:
             assert not hasattr(basketminer, name)
 
     def test_every_exported_name_resolves(self):
+        assert len(basketminer.__all__) == 28
         namespace: dict = {}
         exec("from basketminer import *", namespace)
         for name in basketminer.__all__:
@@ -330,6 +331,59 @@ class TestSubcommands:
             cli.main(["mine", "--help"])
         assert "--algorithm {apriori,bruteforce}" in capsys.readouterr().out
         assert list(cli.ENGINES) == ["apriori", "bruteforce"]
+
+
+# Run by a fresh interpreter with no site packages: reports which modules
+# ``import basketminer.cli`` loaded that a ``mine`` run never uses, then
+# reaches each of them on demand.
+LAZY_IMPORT_CHILD = """
+import contextlib, io, json, sys
+src, basket, generated = sys.argv[1:]
+sys.path.insert(0, src)
+import basketminer.cli
+unused = ("dataclasses", "inspect", "random", "basketminer.fpgrowth",
+          "basketminer.oracle")
+report = {"loaded": [name for name in unused if name in sys.modules]}
+import basketminer
+from basketminer import apriori, cli, fpgrowth
+report["undir"] = sorted(set(basketminer.__all__) - set(dir(basketminer)))
+db = cli.load_db(basket, "basket")
+params = basketminer.MiningParams("0.42", "0.8")
+report["fpgrowth_agrees"] = (basketminer.fpgrowth_mine is fpgrowth.mine
+                             and basketminer.fpgrowth_mine(db, params)
+                             == apriori.apriori_mine(db, params))
+with contextlib.redirect_stderr(io.StringIO()):
+    report["gen"] = cli.main(["gen", "--transactions", "30", "--output",
+                              generated])
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    report["bruteforce"] = cli.main(
+        ["mine", "--input", basket, "--algorithm", "bruteforce",
+         "--min-support", "0.42", "--min-confidence", "0.8",
+         "--max-antecedent", "1"])
+report["table"] = out.getvalue()
+print(json.dumps(report))
+"""
+
+
+class TestStartup:
+    """A ``mine`` process imports only what it runs; the rest loads on
+    first use."""
+
+    def test_cli_import_leaves_unused_modules_unloaded(self, basket_path,
+                                                       tmp_path):
+        src_dir = Path(basketminer.__file__).resolve().parent.parent
+        generated = tmp_path / "gen.basket"
+        proc = subprocess.run(
+            [sys.executable, "-E", "-S", "-B", "-c", LAZY_IMPORT_CHILD,
+             str(src_dir), str(basket_path), str(generated)],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report == {"loaded": [], "undir": [], "fpgrowth_agrees": True,
+                          "gen": cli.EXIT_OK, "bruteforce": cli.EXIT_OK,
+                          "table": GOLDEN_TABLE}
+        assert generated.read_text(encoding="utf-8").count("\n") == 30
 
 
 class TestBenchmarkPins:

@@ -1,14 +1,18 @@
+import copy
 import io
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from basketminer.apriori import CandidateSet
 from basketminer.core import (
     AssociationRule,
     DomainError,
     EmptyInputError,
+    FrequentItemset,
     IngestionError,
     ItemDictionary,
     MiningParams,
@@ -20,6 +24,8 @@ from basketminer.core import (
     support_count,
     to_basket_text,
 )
+from basketminer.oracle import GeneratorConfig
+from basketminer.rules import RuleSet
 from helpers import (
     basket_reference,
     db_from_ids,
@@ -178,6 +184,81 @@ class TestTransactionDb:
         d.intern("a")
         with pytest.raises(DomainError):
             TransactionDb(((0, 5),), d)
+
+
+def two_labels() -> ItemDictionary:
+    dictionary = ItemDictionary()
+    dictionary.intern("a")
+    dictionary.intern("b")
+    return dictionary
+
+
+HALF = "MiningParams(min_support=Fraction(1, 2), min_confidence=Fraction(3, 5))"
+
+# Each value class: its constructor arguments, a field, and the repr a
+# frozen dataclass of the same fields prints (``TransactionDb`` has its
+# own).
+VALUE_CLASSES = [
+    pytest.param(TransactionDb, (((0, 1), (1,)), two_labels()),
+                 "transactions", "TransactionDb(n=2, items=2)",
+                 id="TransactionDb"),
+    pytest.param(MiningParams, (0.5, "3/5"), "min_support", HALF,
+                 id="MiningParams"),
+    pytest.param(FrequentItemset, ((0,), 2), "count",
+                 "FrequentItemset(itemset=(0,), count=2)",
+                 id="FrequentItemset"),
+    pytest.param(AssociationRule, ((0,), (1,), 1, 2, 3), "antecedent",
+                 "AssociationRule(antecedent=(0,), consequent=(1,), "
+                 "union_count=1, antecedent_count=2, n_transactions=3)",
+                 id="AssociationRule"),
+    pytest.param(CandidateSet, (((0, 1),),), "candidates",
+                 "CandidateSet(candidates=((0, 1),))", id="CandidateSet"),
+    pytest.param(RuleSet, (((-1, -1, (0,), (1,), 2),),
+                           MiningParams("1/2", "3/5"), 3), "rows",
+                 f"RuleSet(rows=((-1, -1, (0,), (1,), 2),), params={HALF}, "
+                 f"n_transactions=3)", id="RuleSet"),
+    pytest.param(GeneratorConfig, (10, 9, (1, 8), ((("a", "b"), 0.5),)),
+                 "seed",
+                 "GeneratorConfig(num_transactions=10, universe_size=9, "
+                 "basket_size_range=(1, 8), patterns=((('a', 'b'), 0.5),), "
+                 "seed=0)", id="GeneratorConfig"),
+]
+
+
+@pytest.mark.parametrize("cls, args, field, text", VALUE_CLASSES)
+def test_value_class_contract(cls, args, field, text):
+    value = cls(*args)
+    assert repr(value) == text
+    # Equality is by fields within one class only.
+    assert value == cls(*args)
+    assert value != args
+    assert value != tuple(value.__reduce__()[1])  # its field values
+    if cls is TransactionDb:
+        # Its item dictionary is mutable, so it is not hashable.
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == hash(cls(*args))
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+        setattr(value, field, None)
+    with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+        delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert not hasattr(value, "__dict__")
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value),
+                 copy.deepcopy(value)):
+        assert type(twin) is cls
+        assert twin == value
+        assert repr(twin) == text
+
+
+def test_transaction_sets_are_built_once():
+    db = TransactionDb(((0, 1), (1,)), two_labels())
+    sets = db.transaction_sets
+    assert sets == (frozenset({0, 1}), frozenset({1}))
+    assert db.transaction_sets is sets
+    assert pickle.loads(pickle.dumps(db)).transaction_sets == sets
 
 
 class TestMiningParams:
