@@ -16,9 +16,9 @@ pairs inside each transaction.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import chain, groupby
 from operator import itemgetter
-from typing import Sequence
 
 from .core import (
     EmptyInputError,
@@ -113,7 +113,7 @@ def mine_levels(db: TransactionDb, singletons: Sequence[FrequentItemset],
     items, ranked by id. The levels above intersect covers, which are built
     once, N/8 bytes each. When the kernel's cost rule picks every item's
     covers for level 2, it returns them, and they serve the levels above.
-    Otherwise (blocks or prefixes) covers are built at the first level with
+    After a count by blocks, covers are built at the first level with
     candidates, and only for the items those candidates use: a later
     candidate joins frequent itemsets of the level before, so it uses no
     other item.

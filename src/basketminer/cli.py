@@ -21,8 +21,8 @@ import io
 import math
 import os
 import sys
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from typing import Callable, Sequence
 
 from .apriori import apriori_mine
 from .core import (
@@ -32,6 +32,7 @@ from .core import (
     MiningError,
     MiningParams,
     TransactionDb,
+    exact_fraction,
     filter_min_items,
     ingest_basket,
     ingest_tid_pairs,
@@ -71,9 +72,9 @@ RULE_TABLE_HEADER = ("People who bought this item",
 def fraction_arg(text: str) -> Fraction:
     """Parse a threshold given as a decimal or a ratio, e.g. 0.4 or 2/5."""
     try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+        value = exact_fraction(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     if not 0 < value <= 1:
         raise argparse.ArgumentTypeError(
             f"threshold must be in (0, 1], got {text}")

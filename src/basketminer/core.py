@@ -35,12 +35,13 @@ process would pay at start-up.
 from __future__ import annotations
 
 import codecs
+import io
 import math
 import re
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import chain
-from typing import BinaryIO, Iterable, Iterator
 
 ItemSet = tuple[int, ...]
 
@@ -230,12 +231,32 @@ class TransactionDb(Frozen):
         return f"TransactionDb(n={self.n}, items={len(self.dictionary)})"
 
 
-def _exact(value) -> Fraction:
-    """``Fraction(value)``, taking a float through its shortest round-trip
-    decimal."""
-    if isinstance(value, float):
-        return Fraction(repr(value))
-    return Fraction(value)
+# The most digits a threshold's text, exponent and value may take: CPython's
+# default limit on converting an int to or from text, as printing does.
+# ``Fraction`` computes 10**exponent exactly: 14.4 s on "1e-10000000".
+_MAX_DIGITS = 4300
+_EXPONENT = re.compile(r"E[-+]?[0_]*([\d_]*)\s*\Z", re.IGNORECASE)
+
+
+def exact_fraction(value) -> Fraction:
+    """``Fraction(value)``, reading any value but an int or a Fraction as
+    its text: a float is the shortest decimal that round-trips. Text that
+    does not parse, or that takes more than ``_MAX_DIGITS`` digits, raises
+    a ``ValueError`` that names it."""
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    value = str(value)
+    match = _EXPONENT.search(value)
+    # Five of its digits, leading zeros gone, make an exponent too big.
+    exponent = int(match[1].replace("_", "")[:5] or 0) if match else 0
+    if len(value) <= _MAX_DIGITS and exponent <= _MAX_DIGITS:
+        try:
+            parsed = Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"not a number: {value!r}") from exc
+        if max(abs(parsed.numerator), parsed.denominator) < 10 ** _MAX_DIGITS:
+            return parsed
+    raise ValueError(f"too many digits (over {_MAX_DIGITS}): {value!r}")
 
 
 class MiningParams(Frozen):
@@ -253,8 +274,8 @@ class MiningParams(Frozen):
 
     def __init__(self, min_support: Fraction | int | float | str,
                  min_confidence: Fraction | int | float | str) -> None:
-        min_support = _exact(min_support)
-        min_confidence = _exact(min_confidence)
+        min_support = exact_fraction(min_support)
+        min_confidence = exact_fraction(min_confidence)
         if not 0 < min_support <= 1:
             raise ValueError(f"min_support must be in (0, 1], got {min_support}")
         if not 0 < min_confidence <= 1:
@@ -341,7 +362,7 @@ _LINE_BREAK = re.compile(f"[{_LINE_BREAKS}]")
 _CHUNK = 1 << 16  # bytes asked of the stream per read
 
 
-def read_lines(stream: BinaryIO) -> Iterator[str]:
+def read_lines(stream: io.BufferedIOBase) -> Iterator[str]:
     """Yield the lines of the UTF-8 byte ``stream`` exactly as
     ``text.splitlines()`` splits its whole decoded text.
 

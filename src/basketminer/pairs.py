@@ -3,7 +3,7 @@
 Apriori's level 2 joins every pair of frequent items, so finding its
 frequent 2-itemsets means counting, for every frequent item p, the items
 q that occur with it often enough. That is one count over rows of dense
-ints, and ``pair_counts`` does it in one of three ways:
+ints, and ``pair_counts`` does it in one of two ways:
 
 * by covers: each int's cover is an N-bit int whose bit i is set iff row i
   holds it, and a pair's count is the population count of the two covers'
@@ -11,43 +11,40 @@ ints, and ``pair_counts`` does it in one of three ways:
   C(F, 2) intersections of ⌈N/64⌉ machine words for F ints over N rows;
 * by blocks: the ints are cut into blocks of consecutive ints, and a
   block's cover bounds the count of every pair it takes part in, as an
-  ancestor's count bounds its descendants' in Srikant & Agrawal's
-  generalized rules (VLDB 1995). Only the pairs whose bound reaches the
-  threshold are intersected, so most covers are never built;
-* by prefixes: one C-level ``Counter`` per p over the prefixes before p of
-  the rows that hold p. This costs one counted element per pair inside a
-  row, Σ C(|row|, 2) in all.
+  ancestor's count bounds its descendants' (Srikant & Agrawal, VLDB 1995).
+  Only the pairs whose bound reaches the threshold are intersected, so
+  most covers are never built. An int in too many rows for a block is
+  counted with every other int by one C-level ``Counter`` over its rows,
+  and so is every int when the filter would cost more than that.
 
-A cost rule picks covers when they do less than prefixes: on dense data
-(few ints, long rows). Otherwise blocks run, and hand over to prefixes when
-the pairs left after their filter would cost more to intersect than
-prefixes cost to count: on sparse data with few frequent pairs, blocks
-intersect almost nothing. The covers built by the covers path come back
-with the counts, for Apriori's levels above 2. After a count by blocks or
-prefixes, those levels call the same ``covers`` for just the items their
-candidates use.
+A cost rule picks covers when they do less than counting the pairs inside
+the rows: on dense data (few ints, long rows). Otherwise blocks run: on
+sparse data with few frequent pairs they intersect almost nothing. The
+covers built by the covers path come back with the counts, for Apriori's
+levels above 2. After a count by blocks, those levels call the same
+``covers`` for just the items their candidates use.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from itertools import chain
 from math import isqrt
 from operator import mul
-from typing import Sequence
 
 Row = tuple[int, ...]
 # For each p, the (q, count) pairs with q < p whose count reaches the
 # threshold, by ascending q.
 PairCounts = list[list[tuple[int, int]]]
 
-# What one counted prefix element costs, in intersected words. Measured
-# in-process on the benchmark's seed-0 inputs (Python 3.11, 2-core x86-64
-# host): a counted element costs 100-130 ns, an intersected word 4-7 ns.
-# Words per pair there are 1.3 (dense), 37 (quest) and 80 (sparse), so any
-# value from 2 to 36 picks the same path on all three. After the block
-# filter, the words left to intersect per prefix pair are 0 (sparse) and
-# 1.3 (quest), so any value of 2 or more keeps both on blocks.
+# What one counted element costs, in intersected words. Measured in-process
+# on the benchmark's seed-0 inputs (Python 3.11, 2-core x86-64 host): a
+# counted element costs 100-130 ns, an intersected word 4-7 ns. Words per
+# pair inside a row there are 1.3 (dense), 37 (quest) and 80 (sparse), so
+# any value from 2 to 36 picks the same path on all three. After the block
+# filter, the words left to intersect per pair inside a row are 0 (sparse)
+# and 1.3 (quest), so any value of 2 or more keeps both on blocks.
 _WORDS_PER_PAIR = 16
 
 
@@ -56,18 +53,15 @@ def pair_counts(rows: Sequence[Row], width: int,
     """For each p below ``width``, the (q, count) pairs with q < p that
     occur together in at least ``threshold`` of ``rows``; and the
     ``covers(rows, width, range(width))`` counted to find them, or None
-    when the cost rule counted by blocks or prefixes.
+    when the cost rule counted by blocks.
 
     Each row is an ascending tuple of ints below ``width``.
     """
-    budget = _prefix_cost(rows)
+    budget = _row_cost(rows)
     if _covers_cost(len(rows), width) < budget:
         built = covers(rows, width, range(width))
         return count_by_covers(built, threshold), built
-    counted = count_by_blocks(rows, width, threshold, budget)
-    if counted is None:
-        counted = count_by_prefixes(rows, width, threshold)
-    return counted, None
+    return count_by_blocks(rows, width, threshold, budget), None
 
 
 def _covers_cost(n: int, width: int) -> int:
@@ -76,9 +70,9 @@ def _covers_cost(n: int, width: int) -> int:
     return width * (width - 1) // 2 * (-(-n // 64))
 
 
-def _prefix_cost(rows: Sequence[Row]) -> int:
-    """What ``count_by_prefixes`` costs, in intersected words:
-    ``_WORDS_PER_PAIR`` for each of its Σ C(|row|, 2) counted elements."""
+def _row_cost(rows: Sequence[Row]) -> int:
+    """What counting the pairs inside every row costs, in intersected
+    words: ``_WORDS_PER_PAIR`` for each of its Σ C(|row|, 2) elements."""
     sizes = list(map(len, rows))
     return _WORDS_PER_PAIR * ((sum(map(mul, sizes, sizes)) - sum(sizes)) // 2)
 
@@ -91,10 +85,10 @@ def _block_cap(threshold: int, n: int) -> int:
     So blocks of ¾·√(t·N) meet in about 9/16·t rows, below the threshold,
     and an item counted in more rows is heavy: it gets no block. Measured
     on the sparse benchmark input (seed 0; t = 150, N = 15,000, 1000
-    items), factors from 0.6 to 1.0 beat prefixes: at ¾, 198 blocks and 3
-    heavy items left no block pair to intersect; at 1.0, 43 block pairs
-    and 2,213 item pairs. At 1.2, 6,227 block pairs and 478,646 item pairs
-    were left, 4x slower than prefixes.
+    items), factors from 0.6 to 1.0 beat counting the pairs inside the
+    rows: at ¾, 198 blocks and 3 heavy items left no block pair to
+    intersect; at 1.0, 43 block pairs and 2,213 item pairs. At 1.2, 6,227
+    block pairs and 478,646 item pairs were left, 4x slower.
     """
     return 3 * isqrt(threshold * n) // 4
 
@@ -120,60 +114,63 @@ def _cut_blocks(counts: Sequence[int],
 
 
 def count_by_blocks(rows: Sequence[Row], width: int, threshold: int,
-                    budget: int) -> PairCounts | None:
-    """``pair_counts`` by block covers, or None when the work left after
-    the block filter would cost more than ``budget`` intersected words.
+                    budget: int) -> PairCounts:
+    """``pair_counts`` by block covers.
 
     One ``Counter`` over the rows that hold a heavy int (see
     ``_block_cap``) counts it with every other int. The covers of two
     blocks meet in every row that holds a pair across them, and a block's
     pairs within it lie in the rows that hold two or more of its ints. So
     only the pairs whose block bound reaches ``threshold`` are counted, by
-    covers built for just their ints.
+    covers built for just their ints. When the block filter, or the work
+    it leaves, would cost more than ``budget`` intersected words, every
+    int is heavy instead: no block, and the rows count every pair.
     """
     n = len(rows)
+    words = -(-n // 64)  # per exact intersection
     counts = [0] * width
     for p, count in Counter(chain.from_iterable(rows)).items():
         counts[p] = count
-    block_of, members = _cut_blocks(counts, _block_cap(threshold, n))
-    if _covers_cost(n, len(members)) > budget:
-        return None
-
-    # Bytearrays while they are built, then ints. Since each block is a run
-    # of consecutive ints, its ints in a row are adjacent, heavy ones aside.
-    block_covers: list = [bytearray((n + 7) // 8) for _ in members]
-    crowded = [0] * len(members)  # rows holding two or more of its ints
-    heavy: dict[int, list[Row]] = {
-        p: [] for p, block in enumerate(block_of) if block < 0}
-    for tid, row in enumerate(rows):
-        byte, bit = tid >> 3, 1 << (tid & 7)
-        last = -1
-        for p in row:
-            block = block_of[p]
-            if block < 0:
-                heavy[p].append(row)
-            elif block != last:
-                block_covers[block][byte] |= bit
-                last, repeated = block, False
-            elif not repeated:
-                crowded[block] += 1
-                repeated = True
-    for block, cover in enumerate(block_covers):
-        block_covers[block] = int.from_bytes(cover, "little")
-    live = []  # block pairs (a, b), a < b, whose covers meet often enough
-    for b, cover in enumerate(block_covers):
-        bounds = map(int.bit_count, map(cover.__and__, block_covers[:b]))
-        live.extend([(a, b) for a, bound in enumerate(bounds)
-                     if bound >= threshold])
-    del block_covers  # freed before any item cover is built, as is heavy
-    inside = [b for b, bound in enumerate(crowded) if bound >= threshold]
-
-    exact = sum([len(members[a]) * len(members[b]) for a, b in live]) + sum(
-        [len(members[b]) * (len(members[b]) - 1) // 2 for b in inside])
-    heavy_elements = sum(map(len, chain.from_iterable(heavy.values())))
-    words = -(-n // 64)  # per exact intersection
-    if exact * words + _WORDS_PER_PAIR * heavy_elements > budget:
-        return None
+    # Blocks, or every int heavy (cap -1) when blocks cost over ``budget``.
+    for cap in (_block_cap(threshold, n), -1):
+        block_of, members = _cut_blocks(counts, cap)
+        if _covers_cost(n, len(members)) > budget:
+            continue
+        # Bytearrays while they are built, then ints. Since each block is a
+        # run of consecutive ints, its ints in a row are adjacent, heavy
+        # ones aside.
+        block_covers: list = [bytearray((n + 7) // 8) for _ in members]
+        crowded = [0] * len(members)  # rows holding two or more of its ints
+        heavy: dict[int, list[Row]] = {
+            p: [] for p, block in enumerate(block_of) if block < 0}
+        for tid, row in enumerate(rows):
+            byte, bit = tid >> 3, 1 << (tid & 7)
+            last = -1
+            for p in row:
+                block = block_of[p]
+                if block < 0:
+                    heavy[p].append(row)
+                elif block != last:
+                    block_covers[block][byte] |= bit
+                    last, repeated = block, False
+                elif not repeated:
+                    crowded[block] += 1
+                    repeated = True
+        for block, cover in enumerate(block_covers):
+            block_covers[block] = int.from_bytes(cover, "little")
+        live = []  # block pairs (a, b), a < b, whose covers meet often enough
+        for b, cover in enumerate(block_covers):
+            bounds = map(int.bit_count, map(cover.__and__, block_covers[:b]))
+            live.extend([(a, b) for a, bound in enumerate(bounds)
+                         if bound >= threshold])
+        del block_covers  # freed before any item cover is built, as is heavy
+        inside = [b for b, bound in enumerate(crowded) if bound >= threshold]
+        exact = sum([len(members[a]) * len(members[b]) for a, b in live]) + sum(
+            [len(members[b]) * (len(members[b]) - 1) // 2 for b in inside])
+        heavy_elements = sum(map(len, chain.from_iterable(heavy.values())))
+        if not members or (
+                exact * words + _WORDS_PER_PAIR * heavy_elements <= budget):
+            break
 
     found: PairCounts = [[] for _ in range(width)]
     for h, held in heavy.items():
@@ -248,24 +245,4 @@ def count_by_covers(covers: Sequence[int], threshold: int) -> PairCounts:
         counts = map(int.bit_count, map(cover.__and__, covers[:p]))
         found.append([(q, count) for q, count in enumerate(counts)
                       if count >= threshold])
-    return found
-
-
-def count_by_prefixes(rows: Sequence[Row], width: int,
-                      threshold: int) -> PairCounts:
-    """``pair_counts`` from the prefixes of the rows that hold each p."""
-    holders: list[list[Row]] = [[] for _ in range(width)]
-    for row in rows:
-        for p in row:
-            holders[p].append(row)
-    found: PairCounts = []
-    for p, held in enumerate(holders):
-        counts = Counter(chain.from_iterable(
-            [row[:row.index(p)] for row in held]))
-        # Most bases hold no frequent item, and one C-level max() says so
-        # without a Python-level pass: about 3 ms of the 86 ms kernel on
-        # quest, nothing visible on sparse.
-        found.append(sorted((q, count) for q, count in counts.items()
-                            if count >= threshold)
-                     if counts and max(counts.values()) >= threshold else [])
     return found

@@ -15,7 +15,7 @@ renders the rows as text.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from .core import (
     AssociationRule,

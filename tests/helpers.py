@@ -107,24 +107,23 @@ def brute_pair_counts(rows, width, threshold):
     return found
 
 
-PAIR_KERNELS = ("covers", "blocks", "prefixes")
+PAIR_KERNELS = ("covers", "blocks", "rows")
 # A ``count_by_blocks`` budget above any cost a test input reaches, so the
-# block filter never hands over to prefixes.
+# block filter always keeps its blocks. A budget of 0 makes every int heavy
+# wherever there is a pair to count, so the rows count every pair.
 NO_HAND_OVER = 1 << 64
 
 
 def forced_pair_counts(kernel: str):
     """``pairs.pair_counts`` with its cost rule set aside: every count goes
-    through ``kernel``, one of ``PAIR_KERNELS``, and blocks never hand over
-    to prefixes."""
+    through ``kernel``, one of ``PAIR_KERNELS``: covers, blocks whatever
+    they cost, or rows (``count_by_blocks`` at budget 0)."""
     def counted(rows, width, threshold):
         if kernel == "covers":
             built = pairs.covers(rows, width, range(width))
             return pairs.count_by_covers(built, threshold), built
-        if kernel == "blocks":
-            return pairs.count_by_blocks(rows, width, threshold,
-                                         NO_HAND_OVER), None
-        return pairs.count_by_prefixes(rows, width, threshold), None
+        budget = NO_HAND_OVER if kernel == "blocks" else 0
+        return pairs.count_by_blocks(rows, width, threshold, budget), None
     return counted
 
 

@@ -172,6 +172,11 @@ class TestMine:
         (["gen", "--pattern", "a,b:often"], "not a probability: 'often'"),
         (["gen", "--pattern", "a,b:1.5"],
          "probability must be in [0, 1], got 1.5"),
+        # Fraction would compute 10**exponent first: about 14 s at 10**7.
+        (["mine", "--min-support", "1e-10000000"],
+         "too many digits (over 4300): '1e-10000000'"),
+        (["mine", "--min-confidence", "1e10000000"],
+         "too many digits (over 4300): '1e10000000'"),
     ])
     def test_integer_flags_keep_their_bounds(self, capsys, basket_path,
                                              argv, message):
@@ -180,8 +185,10 @@ class TestMine:
         if argv[0] == "mine":
             argv = argv + ["--input", str(basket_path), "--min-support",
                            "0.5", "--min-confidence", "0.5"]
+        started = perf_counter()
         with pytest.raises(SystemExit) as exc_info:
             cli.main(argv)
+        assert perf_counter() - started < 1.0
         assert exc_info.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -341,8 +348,8 @@ import contextlib, io, json, sys
 src, basket, generated = sys.argv[1:]
 sys.path.insert(0, src)
 import basketminer.cli
-unused = ("dataclasses", "inspect", "random", "basketminer.fpgrowth",
-          "basketminer.oracle")
+unused = ("dataclasses", "inspect", "random", "typing",
+          "basketminer.fpgrowth", "basketminer.oracle")
 report = {"loaded": [name for name in unused if name in sys.modules]}
 import basketminer
 from basketminer import apriori, cli, fpgrowth

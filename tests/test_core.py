@@ -1,6 +1,7 @@
 import copy
 import io
 import pickle
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -295,6 +296,36 @@ class TestMiningParams:
     def test_out_of_range_confidence_rejected(self, bad):
         with pytest.raises(ValueError):
             MiningParams(min_support=1, min_confidence=bad)
+
+    @pytest.mark.parametrize("text, reason", [
+        # Fraction would compute 10**exponent first: seconds at 10**7.
+        ("1e-10000000", "too many digits (over 4300)"),
+        ("1E+10000000", "too many digits (over 4300)"),
+        ("1e-1_000_000", "too many digits (over 4300)"),
+        ("1e-" + "9" * 5000, "too many digits (over 4300)"),
+        # A value of more digits could not be printed.
+        ("1e-4300", "too many digits (over 4300)"),
+        ("0.5e-4300", "too many digits (over 4300)"),
+        ("0." + "0" * 4299 + "1", "too many digits (over 4300)"),
+        ("1/" + "9" * 4300, "too many digits (over 4300)"),
+        (Decimal("1e-10000000"), "too many digits (over 4300)"),
+        ("abc", "not a number"),
+        ("1/0", "not a number"),
+        (float("nan"), "not a number"),
+    ], ids=lambda value: str(value)[:16])
+    def test_bad_threshold_text_refused_by_name(self, text, reason):
+        for support, confidence in ((text, 1), (1, text)):
+            with pytest.raises(ValueError) as exc_info:
+                MiningParams(min_support=support, min_confidence=confidence)
+            assert str(exc_info.value) == f"{reason}: {str(text)!r}"
+
+    @pytest.mark.parametrize("text, expected", [
+        ("1e-4299", Fraction(1, 10 ** 4299)),
+        ("0.5E-001", Fraction(1, 20)),
+        (" 25e-0002 ", Fraction(1, 4)),
+    ])
+    def test_threshold_of_4300_digits_parses(self, text, expected):
+        assert MiningParams(text, 1).min_support == expected
 
 
 class TestAssociationRule:

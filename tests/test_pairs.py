@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from itertools import chain, combinations
 from time import perf_counter
 
 import pytest
@@ -10,7 +12,6 @@ from basketminer.pairs import (
     _block_cap,
     _cut_blocks,
     count_by_blocks,
-    count_by_prefixes,
     covers,
     pair_counts,
 )
@@ -26,8 +27,8 @@ BOUNDARY_NS = [0, 1, 63, 64, 65]
 
 
 def every_path(rows, width, threshold):
-    """The counts of each kernel, the block filter run even where it would
-    hand over to prefixes."""
+    """The counts of each kernel: covers, blocks kept whatever they cost,
+    and rows, with every int heavy."""
     return [forced_pair_counts(kernel)(rows, width, threshold)[0]
             for kernel in PAIR_KERNELS]
 
@@ -47,7 +48,7 @@ def test_each_path_matches_brute_force(n, data):
     every = covers(rows, width, range(width))
     counted, built = pair_counts(rows, width, threshold)
     assert counted == expected
-    covered = pairs._covers_cost(n, width) < pairs._prefix_cost(rows)
+    covered = pairs._covers_cost(n, width) < pairs._row_cost(rows)
     assert built == (every if covered else None)
     wanted = data.draw(st.lists(st.integers(0, max(width - 1, 0)),
                                 unique=True, max_size=width), label="wanted")
@@ -97,25 +98,28 @@ def shaped_rows(seed, n, width, sizes):
 
 
 def spy_on_kernels(monkeypatch):
-    """Each kernel that runs, from then on, as (name, whether it counted)
-    in the returned list: a count by blocks may hand over (None)."""
+    """The name of each kernel that runs from then on, and of each block
+    layout it cuts, in the returned list: a count by blocks that makes
+    every int heavy cuts a second layout."""
     ran = []
-    for name in ("count_by_covers", "count_by_blocks", "count_by_prefixes"):
+    for name in ("count_by_covers", "count_by_blocks", "_cut_blocks"):
         def spy(*args, kernel=getattr(pairs, name), name=name):
-            counted = kernel(*args)
-            ran.append((name, counted is not None))
-            return counted
+            ran.append(name)
+            return kernel(*args)
         monkeypatch.setattr(pairs, name, spy)
     return ran
 
 
+BLOCKS_KEPT = ["count_by_blocks", "_cut_blocks"]  # one layout, not redone
+
+
 @pytest.mark.parametrize("shape, threshold, kernel", [
     # dense: 20k rows over 100 frequent items, 5-15 each.
-    ((20_000, 100, (5, 15)), 600, "count_by_covers"),
+    ((20_000, 100, (5, 15)), 600, ["count_by_covers"]),
     # sparse: 15k rows over 1000 frequent items, 8-20 each.
-    ((15_000, 1000, (8, 20)), 150, "count_by_blocks"),
+    ((15_000, 1000, (8, 20)), 150, BLOCKS_KEPT),
     # quest: 20k rows over 428 frequent items, about 9 each.
-    ((20_000, 428, (5, 13)), 170, "count_by_blocks"),
+    ((20_000, 428, (5, 13)), 170, BLOCKS_KEPT),
 ], ids=["dense", "sparse", "quest"])
 def test_cost_rule_picks_the_cheaper_path(monkeypatch, shape, threshold,
                                           kernel):
@@ -123,7 +127,7 @@ def test_cost_rule_picks_the_cheaper_path(monkeypatch, shape, threshold,
     rows = shaped_rows(1, n, width, sizes)
     ran = spy_on_kernels(monkeypatch)
     pair_counts(rows, width, threshold)
-    assert ran == [(kernel, True)]
+    assert ran == kernel
 
 
 def best_of(runs, call):
@@ -136,17 +140,18 @@ def best_of(runs, call):
     return min(times)
 
 
-def test_unprunable_shape_falls_back_to_prefixes(monkeypatch):
+def test_unprunable_shape_is_counted_by_rows(monkeypatch):
     # The cap, 3·⌊√(4·8192)⌋/4 = 135, counts the 7680 empty rows too, so
     # the 63 blocks hold about 16 ints each, and every one of their 1953
     # pairs meets in 4 rows or more: the filter prunes none. Intersecting
-    # all 499,500 int pairs would cost 65 times what prefixes cost.
+    # all 499,500 int pairs would cost 65 times what counting the pairs
+    # inside the rows costs, so every int is made heavy.
     rows = shaped_rows(1, 512, 1000, (16, 16)) + [()] * 7680
-    by_prefixes = count_by_prefixes(rows, 1000, 4)
-    assert count_by_blocks(rows, 1000, 4, NO_HAND_OVER) == by_prefixes
+    by_blocks = count_by_blocks(rows, 1000, 4, NO_HAND_OVER)
     chosen = best_of(3, lambda: pair_counts(rows, 1000, 4))
-    alone = best_of(3, lambda: count_by_prefixes(rows, 1000, 4))
-    assert chosen < 2 * alone + 0.01, (chosen, alone)
+    naive = best_of(3, lambda: Counter(chain.from_iterable(
+        combinations(row, 2) for row in rows)))
+    assert chosen < 2 * naive + 0.01, (chosen, naive)
     ran = spy_on_kernels(monkeypatch)
-    assert pair_counts(rows, 1000, 4) == (by_prefixes, None)
-    assert ran == [("count_by_blocks", False), ("count_by_prefixes", True)]
+    assert pair_counts(rows, 1000, 4) == (by_blocks, None)
+    assert ran == ["count_by_blocks", "_cut_blocks", "_cut_blocks"]
