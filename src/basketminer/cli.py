@@ -1,8 +1,11 @@
 """Command-line interface: ``mine`` and ``gen`` subcommands.
 
-``mine`` renders a ``RuleSet``'s integer rows itself: the table prints
+``mine`` renders a ``RuleSet``'s decoded rows itself: the table prints
 whole percents (a half rounded up), CSV and JSON print exact ratios in
-lowest terms, and JSON adds the nearest float.
+lowest terms, and JSON adds the nearest float. Each renderer returns the
+whole report as one string, but joins its lines ``LINES_PER_BATCH`` at a
+time, so that one batch of line strings is alive at once; the table takes
+its column widths first, in a pass that keeps no text.
 
 Exit codes: 0 success, 2 bad flags or config, 3 unreadable input or
 unwritable output (a closed standard output included), 4 guard refusal
@@ -21,8 +24,9 @@ import io
 import math
 import os
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
+from itertools import islice
 
 from .apriori import apriori_mine
 from .core import (
@@ -238,51 +242,104 @@ class Memo(dict):
         return value
 
 
-def render_table(columns: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    widths = [max(map(len, column)) for column in zip(columns, *rows)]
-    line = " | ".join(f"{{:<{width}}}" for width in widths).format
-    lines = [line(*columns).rstrip(),
-             "-+-".join("-" * width for width in widths)]
-    lines += [line(*row).rstrip() for row in rows]
-    return "\n".join(lines) + "\n"
+# The renderers join report lines this many at a time, so that one batch
+# of line strings is alive at once rather than one string per rule.
+LINES_PER_BATCH = 512
+
+
+def extend_joined(pieces: list[str], lines: Iterable[str],
+                  separator: str = "") -> None:
+    """Append ``separator.join(lines)`` to ``pieces``, as one piece per
+    ``LINES_PER_BATCH`` lines with a ``separator`` piece between two."""
+    lines = iter(lines)
+    batch = list(islice(lines, LINES_PER_BATCH))
+    while batch:
+        pieces.append(separator.join(batch))
+        batch = list(islice(lines, LINES_PER_BATCH))
+        if batch:
+            pieces.append(separator)
+
+
+def extend_table(pieces: list[str], columns: Sequence[str],
+                 widths: Sequence[int], rows: Iterable[Sequence[str]]) -> None:
+    """Append to ``pieces`` the table of ``rows`` under ``columns``, each
+    column as wide as its header or its width in ``widths`` (the longest
+    cell in it), whichever is wider, and each line without trailing
+    blanks."""
+    widths = list(map(max, map(len, columns), widths))
+    pieces.append(" | ".join(map(str.ljust, columns, widths)).rstrip())
+    pieces.append("\n" + "-+-".join("-" * width for width in widths))
+    line = ("\n" + " | ".join(f"{{:<{width}}}" for width in widths)).format
+    extend_joined(pieces, (line(*row).rstrip() for row in rows))
+    pieces.append("\n")
 
 
 def rules_as_table(ruleset: RuleSet, db: TransactionDb,
                    frequents: Sequence[FrequentItemset] | None) -> str:
     labels = list(db.dictionary)
     n = ruleset.n_transactions
-    names = Memo(lambda ids: ", ".join([labels[i] for i in ids]))
+    itemsets = ruleset.itemsets
+
+    def name(ids: tuple[int, ...]) -> str:
+        return ", ".join([labels[i] for i in ids])
+
+    names = Memo(lambda rank: name(itemsets[rank]))
     supports = Memo(lambda union: f"{whole_percent(union, n)}%")
-    rows = [(names[antecedent], names[consequent], supports[-neg_union],
-             f"{whole_percent(-neg_union, antecedent_count)}%")
-            for _, neg_union, antecedent, consequent, antecedent_count
-            in ruleset.rows]
-    out = render_table(RULE_TABLE_HEADER, rows)
+    # The widths pass keeps ints, not text: a percent's text is widest at
+    # its highest value.
+    antecedents, consequents, unions, confidences = set(), set(), set(), set()
+    for antecedent, consequent, union, antecedent_count in ruleset.decoded():
+        antecedents.add(antecedent)
+        consequents.add(consequent)
+        unions.add(union)
+        confidences.add(whole_percent(union, antecedent_count))
+    widths = [max(map(len, map(names.__getitem__, antecedents)), default=0),
+              max(map(len, map(names.__getitem__, consequents)), default=0),
+              len(supports[max(unions, default=0)]),
+              len(f"{max(confidences, default=0)}%")]
+    pieces: list[str] = []
+    extend_table(pieces, RULE_TABLE_HEADER, widths, (
+        (names[antecedent], names[consequent], supports[union],
+         f"{whole_percent(union, antecedent_count)}%")
+        for antecedent, consequent, union, antecedent_count
+        in ruleset.decoded()))
     if frequents is not None:
         threshold = ruleset.params.absolute_threshold(n)
-        out += f"\nFrequent itemsets (count >= {threshold} of {n}):\n"
-        itemset_rows = [(names[f.itemset], str(f.count), f"{f.count}/{n}")
-                        for f in frequents]
-        out += render_table(("Itemset", "Count", "Support"), itemset_rows)
-    return out
+        pieces.append(f"\nFrequent itemsets (count >= {threshold} of {n}):\n")
+        widths = [0, 0, 0]
+        if frequents:
+            top = max(f.count for f in frequents)
+            widths = [max(len(name(f.itemset)) for f in frequents),
+                      len(str(top)), len(f"{top}/{n}")]
+        extend_table(pieces, ("Itemset", "Count", "Support"), widths, (
+            (name(f.itemset), str(f.count), f"{f.count}/{n}")
+            for f in frequents))
+    return "".join(pieces)
 
 
 def rules_as_csv(ruleset: RuleSet, db: TransactionDb,
                  frequents: Sequence[FrequentItemset] | None) -> str:
     labels = list(db.dictionary)
     n = ruleset.n_transactions
-    names = Memo(lambda ids: csv_field(";".join([labels[i] for i in ids])))
+    itemsets = ruleset.itemsets
+
+    def name(ids: tuple[int, ...]) -> str:
+        return csv_field(";".join([labels[i] for i in ids]))
+
+    names = Memo(lambda rank: name(itemsets[rank]))
     supports = Memo(lambda union: ratio_text(union, n))
-    lines = ["antecedent,consequent,support,confidence\n"]
-    lines += [f"{names[antecedent]},{names[consequent]},{supports[-neg_union]},"
-              f"{ratio_text(-neg_union, antecedent_count)}\n"
-              for _, neg_union, antecedent, consequent, antecedent_count
-              in ruleset.rows]
+    pieces = ["antecedent,consequent,support,confidence\n"]
+    extend_joined(pieces, (
+        f"{names[antecedent]},{names[consequent]},{supports[union]},"
+        f"{ratio_text(union, antecedent_count)}\n"
+        for antecedent, consequent, union, antecedent_count
+        in ruleset.decoded()))
     if frequents is not None:
-        lines.append("\nitemset,count,support\n")
-        lines += [f"{names[f.itemset]},{f.count},{supports[f.count]}\n"
-                  for f in frequents]
-    return "".join(lines)
+        pieces.append("\nitemset,count,support\n")
+        extend_joined(pieces, (
+            f"{name(f.itemset)},{f.count},{supports[f.count]}\n"
+            for f in frequents))
+    return "".join(pieces)
 
 
 def json_ratio(part: int, whole: int, indent: str) -> str:
@@ -304,6 +361,18 @@ def json_array(entries: Sequence[str], indent: str) -> str:
     return f"[\n{inner}" + f",\n{inner}".join(entries) + f"\n{indent}]"
 
 
+def extend_json_array(pieces: list[str], entries: Iterable[str],
+                      empty: bool) -> None:
+    """Append to ``pieces`` what ``json_array`` makes of ``entries`` at
+    nesting two spaces; ``empty`` says whether there are none."""
+    if empty:
+        pieces.append("[]")
+        return
+    pieces.append("[\n    ")
+    extend_joined(pieces, entries, ",\n    ")
+    pieces.append("\n  ]")
+
+
 def rules_as_json(ruleset: RuleSet, db: TransactionDb, algorithm: str,
                   frequents: Sequence[FrequentItemset] | None) -> str:
     """The report exactly as ``json.dumps(payload, indent=2)`` writes it,
@@ -312,33 +381,39 @@ def rules_as_json(ruleset: RuleSet, db: TransactionDb, algorithm: str,
     import json
     labels = [json.dumps(label) for label in db.dictionary]
     n = ruleset.n_transactions
+    itemsets = ruleset.itemsets
     deep = " " * 6
-    names = Memo(lambda ids: json_array([labels[i] for i in ids], deep))
+
+    def name(ids: tuple[int, ...]) -> str:
+        return json_array([labels[i] for i in ids], deep)
+
+    names = Memo(lambda rank: name(itemsets[rank]))
     supports = Memo(lambda union: json_ratio(union, n, deep))
-    rules = [f'{{\n{deep}"antecedent": {names[antecedent]},\n'
-             f'{deep}"consequent": {names[consequent]},\n'
-             f'{deep}"support": {supports[-neg_union]},\n'
-             f'{deep}"confidence": '
-             f'{json_ratio(-neg_union, antecedent_count, deep)}\n    }}'
-             for _, neg_union, antecedent, consequent, antecedent_count
-             in ruleset.rows]
     support = ruleset.params.min_support
     confidence = ruleset.params.min_confidence
-    params = (
-        f'{{\n    "min_support": '
+    pieces = [
+        f'{{\n  "n_transactions": {n},\n  "params": {{\n    "min_support": '
         f'{json_ratio(support.numerator, support.denominator, "    ")},\n'
         f'    "min_confidence": '
         f'{json_ratio(confidence.numerator, confidence.denominator, "    ")},\n'
-        f'    "algorithm": {json.dumps(algorithm)}\n  }}')
-    fields = [f'"n_transactions": {n}', f'"params": {params}',
-              f'"rules": {json_array(rules, "  ")}']
+        f'    "algorithm": {json.dumps(algorithm)}\n  }},\n  "rules": ']
+    extend_json_array(pieces, (
+        f'{{\n{deep}"antecedent": {names[antecedent]},\n'
+        f'{deep}"consequent": {names[consequent]},\n'
+        f'{deep}"support": {supports[union]},\n'
+        f'{deep}"confidence": '
+        f'{json_ratio(union, antecedent_count, deep)}\n    }}'
+        for antecedent, consequent, union, antecedent_count
+        in ruleset.decoded()), not ruleset.rows)
     if frequents is not None:
-        itemsets = [f'{{\n{deep}"items": {names[f.itemset]},\n'
-                    f'{deep}"count": {f.count},\n'
-                    f'{deep}"support": {supports[f.count]}\n    }}'
-                    for f in frequents]
-        fields.append(f'"itemsets": {json_array(itemsets, "  ")}')
-    return "{\n  " + ",\n  ".join(fields) + "\n}\n"
+        pieces.append(',\n  "itemsets": ')
+        extend_json_array(pieces, (
+            f'{{\n{deep}"items": {name(f.itemset)},\n'
+            f'{deep}"count": {f.count},\n'
+            f'{deep}"support": {supports[f.count]}\n    }}'
+            for f in frequents), not frequents)
+    pieces.append("\n}\n")
+    return "".join(pieces)
 
 
 def write_stdout(text: str) -> None:

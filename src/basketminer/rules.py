@@ -7,10 +7,11 @@ and the rule Z \\ Y -> Y is scored from the counts already mined (no
 database rescan). Moving an item from the antecedent to the consequent
 can only lower confidence, so a consequent whose rule fails the
 confidence test is dropped and never grown further. Thresholds are tested
-by integer cross-multiplication of the counts. A ``RuleSet`` keeps its
-rules as flat integer rows in canonical order; exact rational scores appear
-only when ``AssociationRule`` objects are built from the rows, and the CLI
-renders the rows as text.
+by integer cross-multiplication of the counts. A ``RuleSet`` keeps each
+rule as one int key that packs its canonical sort key, so that sorting the
+rules sorts ints; exact rational scores appear only when
+``AssociationRule`` objects are built from the keys, and the CLI renders
+what ``RuleSet.decoded`` unpacks from them as text.
 """
 
 from __future__ import annotations
@@ -28,25 +29,34 @@ from .core import (
     TransactionDb,
 )
 
-# (-(u * N * N // a), -u, antecedent, consequent, a) for a rule with union
-# count u and antecedent count a: its canonical sort key, then a.
-RuleRow = tuple[int, int, ItemSet, ItemSet, int]
-
-
 class RuleSet(Frozen):
     """Rules passing both thresholds, in canonical order.
 
     Canonical order: descending confidence, then descending support, then
-    lexicographic antecedent ids, then consequent ids. ``rows`` holds one
-    ``RuleRow`` per rule; iteration and ``rules`` build the
-    ``AssociationRule`` objects from the rows on demand.
+    lexicographic antecedent ids, then consequent ids. ``itemsets`` is the
+    rank table, the mined itemsets in tuple order, and ``counts`` their
+    counts. ``rows`` holds one int key per rule, sorted, which packs the
+    rule's whole canonical key; ``decoded`` unpacks the keys, and
+    iteration and ``rules`` build the ``AssociationRule`` objects from
+    them on demand.
+
+    With N transactions and R ranks, a rule X -> Y with union count u and
+    antecedent count a has the key, from its most significant field down,
+    ``N² - u·N²//a`` (confidence, in a field of its own), ``N - u`` in
+    ``N.bit_length()`` bits, then ``rank(X)`` and ``rank(Y)`` in
+    ``R.bit_length()`` bits each. Every field is non-negative and fits its
+    width, so integer order is the canonical order, ties included.
     """
 
-    __slots__ = _fields = ("rows", "params", "n_transactions")
+    __slots__ = _fields = ("rows", "itemsets", "counts", "params",
+                           "n_transactions")
 
-    def __init__(self, rows: tuple[RuleRow, ...], params: MiningParams,
+    def __init__(self, rows: Sequence[int], itemsets: Sequence[ItemSet],
+                 counts: Sequence[int], params: MiningParams,
                  n_transactions: int) -> None:
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "itemsets", tuple(itemsets))
+        object.__setattr__(self, "counts", tuple(counts))
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "n_transactions", n_transactions)
 
@@ -58,10 +68,24 @@ class RuleSet(Frozen):
         return len(self.rows)
 
     def __iter__(self) -> Iterator[AssociationRule]:
-        n = self.n_transactions
-        for _, neg_union, antecedent, consequent, antecedent_count in self.rows:
-            yield AssociationRule(antecedent, consequent, -neg_union,
-                                  antecedent_count, n)
+        itemsets, n = self.itemsets, self.n_transactions
+        for antecedent, consequent, union, antecedent_count in self.decoded():
+            yield AssociationRule(itemsets[antecedent], itemsets[consequent],
+                                  union, antecedent_count, n)
+
+    def decoded(self) -> Iterator[tuple[int, int, int, int]]:
+        """``(antecedent, consequent, union, antecedent_count)`` for each
+        rule in order: the ranks of its antecedent and consequent in
+        ``itemsets``, then the counts of its itemset and its antecedent."""
+        n, counts = self.n_transactions, self.counts
+        rank_bits = len(self.itemsets).bit_length()
+        rank_mask = (1 << rank_bits) - 1
+        count_shift = 2 * rank_bits
+        count_mask = (1 << n.bit_length()) - 1
+        for key in self.rows:
+            antecedent = key >> rank_bits & rank_mask
+            yield (antecedent, key & rank_mask,
+                   n - (key >> count_shift & count_mask), counts[antecedent])
 
 
 def generate_rules(frequents: Sequence[FrequentItemset], db: TransactionDb,
@@ -95,51 +119,57 @@ def generate_rules(frequents: Sequence[FrequentItemset], db: TransactionDb,
     n = db.n
     if n == 0:
         raise DomainError("cannot generate rules from an empty transaction database")
-    # Rows hold the mined itemset tuples rather than copies of them.
-    mined = {f.itemset: f for f in frequents}
+    counted = {f.itemset: f.count for f in frequents}
+    itemsets = sorted(counted)
+    counts = [counted[itemset] for itemset in itemsets]
+    rank = {itemset: index for index, itemset in enumerate(itemsets)}
     threshold = params.absolute_threshold(n)
     num, den = params.min_confidence.as_integer_ratio()
     # Exact: two distinct confidences u/a with a <= N differ by at least
     # 1/N^2, so floor(N^2 * u / a) keeps them apart; N is fixed, so
-    # descending support is descending u.
+    # descending support is descending u. The key's fields are laid out
+    # as ``RuleSet`` describes.
     square = n * n
-    rows: list[RuleRow] = []
-    emit = rows.append
-    for frequent in sorted(mined.values(), key=lambda f: len(f.itemset)):
-        z, union_count = frequent.itemset, frequent.count
+    rank_bits = len(itemsets).bit_length()
+    confidence_shift = n.bit_length() + 2 * rank_bits
+    keys: list[int] = []
+    emit = keys.append
+    for z in sorted(itemsets, key=len):
         size = len(z)
+        union_count = counts[rank[z]]
         if size < 2 or union_count < threshold:
             continue
         scaled = union_count * square
-        neg_union = -union_count
+        support_field = (n - union_count) << 2 * rank_bits
         bound = union_count * den
         smallest = 1 if max_antecedent is None else size - max_antecedent
-        # subsets[i] is the mined entry of Z without its item i.
+        # subsets[i] is the rank of Z without its item i.
         subsets = []
         for index in range(size):
             subset = z[:index] + z[index + 1:]
-            entry = mined.get(subset)
-            if entry is None:
+            subset_rank = rank.get(subset)
+            if subset_rank is None:
                 raise InternalConsistencyError(
                     f"subset {subset} of frequent itemset {z} "
                     f"is missing from the mined counts")
-            if not union_count <= entry.count <= n:
+            if not union_count <= counts[subset_rank] <= n:
                 raise InternalConsistencyError(
-                    f"subset {subset} has count {entry.count}, outside the "
-                    f"range from the count {union_count} of its superset "
-                    f"{z} to the {n} transactions")
-            subsets.append(entry)
+                    f"subset {subset} has count {counts[subset_rank]}, "
+                    f"outside the range from the count {union_count} of its "
+                    f"superset {z} to the {n} transactions")
+            subsets.append(subset_rank)
         # The passing consequents of one size, each with its antecedent,
         # in lexicographic consequent order.
         level = []
-        for index, entry in enumerate(subsets):
-            antecedent, antecedent_count = entry.itemset, entry.count
+        for index, antecedent_rank in enumerate(subsets):
+            antecedent_count = counts[antecedent_rank]
             if bound >= num * antecedent_count:
-                consequent = mined[(z[index],)].itemset
-                level.append((consequent, antecedent))
+                consequent = (z[index],)
+                level.append((consequent, itemsets[antecedent_rank]))
                 if smallest <= 1:
-                    emit((-(scaled // antecedent_count), neg_union,
-                          antecedent, consequent, antecedent_count))
+                    emit(((square - scaled // antecedent_count)
+                          << confidence_shift) + support_field
+                         + (antecedent_rank << rank_bits) + rank[consequent])
         width = 1
         while len(level) > 1 and width + 1 < size:
             passed = {consequent for consequent, _ in level}
@@ -158,16 +188,17 @@ def generate_rules(frequents: Sequence[FrequentItemset], db: TransactionDb,
                         continue
                     cut = antecedent.index(item)
                     smaller = antecedent[:cut] + antecedent[cut + 1:]
-                    entry = mined[smaller]
-                    smaller, antecedent_count = entry.itemset, entry.count
+                    antecedent_rank = rank[smaller]
+                    antecedent_count = counts[antecedent_rank]
                     if bound < num * antecedent_count:
                         continue
-                    consequent = mined[consequent].itemset
                     grown.append((consequent, smaller))
                     if smallest <= width + 1:
-                        emit((-(scaled // antecedent_count), neg_union,
-                              smaller, consequent, antecedent_count))
+                        emit(((square - scaled // antecedent_count)
+                              << confidence_shift) + support_field
+                             + (antecedent_rank << rank_bits)
+                             + rank[consequent])
             level = grown
             width += 1
-    rows.sort()
-    return RuleSet(tuple(rows), params, n)
+    keys.sort()
+    return RuleSet(keys, itemsets, counts, params, n)

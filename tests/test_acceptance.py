@@ -350,7 +350,7 @@ def test_dense_rules_within_time_and_memory_bounds():
     finally:
         tracemalloc.stop()
     assert len(ruleset) == 29_502
-    assert peak < 17 * 2**20, f"rules and CSV peaked at {peak / 2**20:.1f} MiB"
+    assert peak < 6 * 2**20, f"rules and CSV peaked at {peak / 2**20:.1f} MiB"
     print(f"dense rules gate PASS: 154,168 rules and CSV in {elapsed:.2f}s; "
           f"29,502 rules and CSV peaked at {peak / 2**20:.1f} MiB")
 

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -26,8 +27,8 @@ from basketminer.core import (
     TransactionDb,
 )
 from basketminer.oracle import brute_force_mine
-from basketminer.rules import generate_rules
-from helpers import PERFBENCH, load_perfbench
+from basketminer.rules import RuleSet, generate_rules
+from helpers import PERFBENCH, db_from_ids, load_perfbench
 
 GOLDEN_TABLE = (
     "People who bought this item | Also bought the following items | Support | Confidence\n"
@@ -582,7 +583,36 @@ QUOTED_BASKETS = (
     'say "hi", plain, a;b\n')
 
 
+@pytest.fixture(scope="module")
+def batches_case():
+    """A database with more rules and more frequent itemsets than one
+    batch of report lines holds."""
+    rng = random.Random(19)
+    db = db_from_ids([rng.sample(range(10), rng.randint(5, 9))
+                      for _ in range(24)], 10)
+    params = MiningParams(Fraction(4, 24), Fraction(3, 4))
+    frequents = apriori_mine(db, params)
+    ruleset = generate_rules(frequents, db, params)
+    assert min(len(frequents), len(ruleset)) > cli.LINES_PER_BATCH
+    return db, frequents, ruleset
+
+
 class TestRenderers:
+    @pytest.mark.parametrize("size", [
+        0, 1, cli.LINES_PER_BATCH - 1, cli.LINES_PER_BATCH,
+        cli.LINES_PER_BATCH + 1])
+    @pytest.mark.parametrize("show_itemsets", [False, True])
+    def test_batch_edges_match_the_references(self, batches_case, size,
+                                              show_itemsets):
+        # A line, newline or JSON comma lost or doubled where two batches
+        # meet shows at these sizes.
+        db, frequents, ruleset = batches_case
+        cut = RuleSet(ruleset.rows[:size], ruleset.itemsets, ruleset.counts,
+                      ruleset.params, ruleset.n_transactions)
+        assert len(cut) == size
+        shown = frequents[:size] if show_itemsets else None
+        assert render_all(cut, db, shown) == reference_all(cut, db, shown)
+
     @pytest.mark.parametrize("show_itemsets", [False, True])
     def test_csv_quotes_labels_as_csv_writer_does(self, capsys, tmp_path,
                                                   show_itemsets):

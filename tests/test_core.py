@@ -214,10 +214,11 @@ VALUE_CLASSES = [
                  id="AssociationRule"),
     pytest.param(CandidateSet, (((0, 1),),), "candidates",
                  "CandidateSet(candidates=((0, 1),))", id="CandidateSet"),
-    pytest.param(RuleSet, (((-1, -1, (0,), (1,), 2),),
+    pytest.param(RuleSet, ((354,), ((0,), (0, 1), (1,)), (2, 1, 2),
                            MiningParams("1/2", "3/5"), 3), "rows",
-                 f"RuleSet(rows=((-1, -1, (0,), (1,), 2),), params={HALF}, "
-                 f"n_transactions=3)", id="RuleSet"),
+                 f"RuleSet(rows=(354,), itemsets=((0,), (0, 1), (1,)), "
+                 f"counts=(2, 1, 2), params={HALF}, n_transactions=3)",
+                 id="RuleSet"),
     pytest.param(GeneratorConfig, (10, 9, (1, 8), ((("a", "b"), 0.5),)),
                  "seed",
                  "GeneratorConfig(num_transactions=10, universe_size=9, "

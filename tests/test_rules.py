@@ -156,6 +156,20 @@ class TestGenerateRules:
         assert [(r.antecedent, r.consequent) for r in ruleset] == [
             ((1,), (0,)), ((0,), (1,))]
 
+    def test_rows_are_the_documented_int_keys(self):
+        # N = 3 and R = 3: confidence field 9 - 1·9//2 = 5, support field
+        # N - u = 2 in 2 bits, then the two ranks in 2 bits each.
+        db = db_from_ids([(0, 1), (0,), (1,)], 2)
+        params = MiningParams(Fraction(1, 3), Fraction(1, 2))
+        ruleset = generate_rules(brute_force_mine(db, params), db, params)
+        assert ruleset.itemsets == ((0,), (0, 1), (1,))
+        assert ruleset.counts == (2, 1, 2)
+        assert ruleset.rows == ((5 << 6) + (2 << 4) + (0 << 2) + 2,
+                                (5 << 6) + (2 << 4) + (2 << 2) + 0)
+        assert list(ruleset.decoded()) == [(0, 2, 1, 2), (2, 0, 1, 2)]
+        assert [(r.antecedent, r.consequent) for r in ruleset] == [
+            ((0,), (1,)), ((1,), (0,))]
+
     def test_no_duplicate_rule_pairs(self):
         rng = random.Random(21)
         for _ in range(15):
