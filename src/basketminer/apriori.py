@@ -4,20 +4,21 @@ Candidates of size k are produced by the classical prefix join of the
 frequent (k-1)-itemsets, then pruned using the anti-monotone property: a
 candidate survives only if every (k-1)-subset was frequent at the
 previous level. Support is counted vertically (Zaki, IEEE TKDE 2000):
-each frequent item gets a cover, the set of transactions holding it as an
-int bitset, and a candidate's count is the population count of the
-intersection of its items' covers. Level 2, where every pair of frequent
-items is a candidate, is counted by ``pairs``' kernel instead. Its cost
-rule intersects every pair's covers only on dense data. Elsewhere it
-bounds each pair by the covers of blocks of items and intersects only the
-pairs whose bound reaches the threshold, or, when too many do, counts the
-pairs inside each transaction.
+each item of a frequent pair gets a cover, the set of transactions
+holding it as an int bitset, and a candidate's count is the population
+count of the intersection of its items' covers. Level 2, where every pair
+of frequent items is a candidate, is counted by ``pairs``' kernel
+instead, which returns those covers with its counts. Its cost rule
+intersects every pair's covers only on dense data. Elsewhere it bounds
+each pair by the covers of blocks of items and intersects only the pairs
+whose bound reaches the threshold, or, when too many do, counts the pairs
+inside each transaction.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import chain, groupby
+from itertools import groupby
 from operator import itemgetter
 
 from .core import (
@@ -109,39 +110,44 @@ def mine_levels(db: TransactionDb, singletons: Sequence[FrequentItemset],
     The peak is the largest candidate table built at any level, the
     benchmark-visible cost of candidate generation. Level 2 joins every
     pair of singletons, so its table is C(F, 2) for F singletons; it is
-    counted by ``pairs.pair_counts`` over each transaction's frequent
-    items, ranked by id. The levels above intersect covers, which are built
-    once, N/8 bytes each. When the kernel's cost rule picks every item's
-    covers for level 2, it returns them, and they serve the levels above.
-    After a count by blocks, covers are built at the first level with
-    candidates, and only for the items those candidates use: a later
-    candidate joins frequent itemsets of the level before, so it uses no
-    other item.
+    counted by ``pairs.pair_counts``, which also returns the cover of each
+    item in a frequent pair, N/8 bytes each. The levels above intersect
+    those covers: a later candidate joins frequent itemsets of the level
+    before, so it uses no other item.
+
+    The kernel reads the transactions as they are stored, with item ids
+    as its ints, and ignores the infrequent items. Only when those make up
+    more than a quarter of all the items held are the transactions copied
+    with the frequent items alone, ranked by id: there the infrequent
+    items would swell the kernel's estimate of what counting inside the
+    transactions costs, and the work of each pass.
     """
-    items = sorted(f.itemset[0] for f in singletons)
-    width = len(items)
-    rank = {item: position for position, item in enumerate(items)}
-    if width == len(db.dictionary):
-        rows = db.transactions  # every item is frequent: ids are the ranks
+    frequent = sorted((f.itemset[0], f.count) for f in singletons)
+    held = sum(map(len, db.transactions))
+    if 4 * sum(count for _, count in frequent) >= 3 * held:
+        ids: Sequence[int] = range(len(db.dictionary))
+        rows = db.transactions
+        counts = [0] * len(ids)
+        for item, count in frequent:
+            counts[item] = count
     else:
+        ids = [item for item, _ in frequent]
+        rank = {item: position for position, item in enumerate(ids)}
         rows = [tuple([rank[i] for i in t if i in rank])
                 for t in db.transactions]
-    counted, covers = pairs.pair_counts(rows, width, threshold)
-    cover_of = dict(zip(items, covers)) if covers is not None else {}
-    level = [FrequentItemset((items[q], items[p]), count)
-             for p, found in enumerate(counted) for q, count in found]
+        counts = [count for _, count in frequent]
+    counted, covers = pairs.pair_counts(rows, counts, threshold)
+    cover_of = {ids[p]: cover for p, cover in covers.items()}
+    level = [FrequentItemset((ids[q], ids[p]), count)
+             for p, found in counted.items() for q, count in found]
     result = list(singletons)
     result.extend(level)
-    peak_candidates = width * (width - 1) // 2
+    peak_candidates = len(frequent) * (len(frequent) - 1) // 2
     while level:
         candidate_set = candidate_gen(level)
         peak_candidates = max(peak_candidates, len(candidate_set.candidates))
         if not candidate_set.candidates:
             break
-        if not cover_of:
-            used = sorted(set(chain.from_iterable(candidate_set.candidates)))
-            cover_of = dict(zip(used, pairs.covers(
-                rows, width, [rank[item] for item in used])))
         level = _count(cover_of, candidate_set, threshold)
         result.extend(level)
     result.sort(key=lambda f: (len(f.itemset), f.itemset))

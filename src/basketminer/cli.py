@@ -158,8 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="universe size (default 20)")
     gen.add_argument("--basket-min", type=int_at_least(1), default=1,
                      help="minimum basket size (default 1)")
-    gen.add_argument("--basket-max", type=int_at_least(1), default=8,
-                     help="maximum basket size (default 8)")
+    gen.add_argument("--basket-max", type=int_at_least(1),
+                     help="maximum basket size (default the smaller of 8 "
+                          "and --items)")
     gen.add_argument("--pattern", action="append", type=pattern_arg,
                      default=[], metavar="ITEMS:PROB",
                      help='planted pattern, e.g. "milk,bread:0.4"; repeatable')
@@ -455,10 +456,13 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     from .oracle import GeneratorConfig, generate_db
+    basket_max = args.basket_max
+    if basket_max is None:
+        basket_max = min(8, args.items)
     config = GeneratorConfig(
         num_transactions=args.transactions,
         universe_size=args.items,
-        basket_size_range=(args.basket_min, args.basket_max),
+        basket_size_range=(args.basket_min, basket_max),
         patterns=tuple(args.pattern),
         seed=args.seed)
     db = generate_db(config)

@@ -94,17 +94,69 @@ def tid_pairs_reference(lines, skip_header):
     return [tuple(sorted(ids)) for ids in groups.values()], dictionary
 
 
-def brute_pair_counts(rows, width, threshold):
-    """``pairs.pair_counts`` by testing every pair against every row."""
-    found = []
-    for p in range(width):
+def brute_pair_counts(rows, counts, threshold):
+    """``pairs.pair_counts``' counts by testing every pair against every
+    row: under each p below ``len(counts)`` that has one, the (q, count)
+    pairs with q < p that reach ``threshold``."""
+    found = {}
+    for p in range(len(counts)):
         pairs = []
         for q in range(p):
             count = sum(1 for row in rows if p in row and q in row)
             if count >= threshold:
                 pairs.append((q, count))
-        found.append(pairs)
+        if pairs:
+            found[p] = pairs
     return found
+
+
+def row_counts(rows, width):
+    """How many of ``rows`` hold each int below ``width``."""
+    counts = [0] * width
+    for row in rows:
+        for p in row:
+            counts[p] += 1
+    return counts
+
+
+def kept_ints(counts, threshold):
+    """The ints that ``pairs.pair_counts`` does not ignore, ascending."""
+    return [p for p, count in enumerate(counts) if count >= threshold]
+
+
+def shaped_rows(seed, n, width, sizes):
+    """``n`` rows of uniform random ints below ``width``, each of a size
+    drawn uniformly from ``sizes``."""
+    rng = random.Random(seed)
+    low, high = sizes
+    return [tuple(sorted(rng.sample(range(width), rng.randint(low, high))))
+            for _ in range(n)]
+
+
+# The benchmark's level-2 inputs in small: (n, width, sizes) for
+# ``shaped_rows``, and a threshold. Every int is frequent in each.
+PAIR_SHAPES = {
+    # dense: 20k rows over 100 frequent items, 5-15 each.
+    "dense": ((20_000, 100, (5, 15)), 600),
+    # sparse: 15k rows over 1000 frequent items, 8-20 each.
+    "sparse": ((15_000, 1000, (8, 20)), 150),
+    # quest: 20k rows over 428 frequent items, about 9 each.
+    "quest": ((20_000, 428, (5, 13)), 170),
+}
+
+
+def with_rare_tail(rows, width, share, seed):
+    """``rows`` with rare ints added, so that they make up about ``share``
+    of all the ints the rows hold; and the new width. Each rare int is at
+    or above ``width`` and in about two rows."""
+    rng = random.Random(seed)
+    extra = round(sum(map(len, rows)) * share / (1 - share))
+    universe = max(1, extra // 2)
+    added = [set() for _ in rows]
+    for _ in range(extra):
+        added[rng.randrange(len(rows))].add(width + rng.randrange(universe))
+    return ([row + tuple(sorted(more)) for row, more in zip(rows, added)],
+            width + universe)
 
 
 PAIR_KERNELS = ("covers", "blocks", "rows")
@@ -118,12 +170,13 @@ def forced_pair_counts(kernel: str):
     """``pairs.pair_counts`` with its cost rule set aside: every count goes
     through ``kernel``, one of ``PAIR_KERNELS``: covers, blocks whatever
     they cost, or rows (``count_by_blocks`` at budget 0)."""
-    def counted(rows, width, threshold):
+    def counted(rows, counts, threshold):
+        kept = kept_ints(counts, threshold)
         if kernel == "covers":
-            built = pairs.covers(rows, width, range(width))
-            return pairs.count_by_covers(built, threshold), built
+            built = pairs.covers(rows, len(counts), kept)
+            return pairs.count_by_covers(dict(zip(kept, built)), threshold)
         budget = NO_HAND_OVER if kernel == "blocks" else 0
-        return pairs.count_by_blocks(rows, width, threshold, budget), None
+        return pairs.count_by_blocks(rows, counts, kept, threshold, budget)
     return counted
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from basketminer import pairs
 from basketminer.apriori import (
     apriori_mine,
     candidate_gen,
@@ -23,7 +24,16 @@ from basketminer.core import (
     support_count,
 )
 from basketminer.oracle import brute_force_mine
-from helpers import as_pairs, db_from_ids, random_db
+from helpers import (
+    PAIR_SHAPES,
+    as_pairs,
+    db_from_ids,
+    labelled_counts,
+    random_db,
+    reference_itemsets,
+    shaped_rows,
+    with_rare_tail,
+)
 
 PARAMS_3_OF_7 = MiningParams(min_support=Fraction(3, 7), min_confidence=1)
 
@@ -168,6 +178,85 @@ class TestCountLevel:
         expected = [(c, support_count(db, c)) for c in candidates
                     if support_count(db, c) >= 1]
         assert [(f.itemset, f.count) for f in result] == expected
+
+
+def planted(rows, itemsets, rate, seed):
+    """``rows``, each holding each of ``itemsets`` too with probability
+    ``rate``."""
+    rng = random.Random(seed)
+    return [tuple(sorted(set(row).union(
+        *[itemset for itemset in itemsets if rng.random() < rate])))
+        for row in rows]
+
+
+class TestLevelTwoHandOff:
+    """What ``mine_levels`` hands the pair kernel, and how often the
+    transactions are read again for covers."""
+
+    # Planted as in the benchmark: sparse's three items at 0.3, heavy, so
+    # its frequent pairs are all between heavy items; quest's 4-item
+    # patterns at 0.03 each, frequent but in blocks, up to level 4.
+    PLANTED = {
+        "dense": ((), 0),
+        "sparse": (((0, 1, 2),), 0.3),
+        "quest": (tuple(tuple(range(k, 428, 107)) for k in range(8)), 0.03),
+    }
+
+    @pytest.mark.parametrize("name", ["dense", "sparse", "quest"])
+    def test_at_most_one_cover_pass(self, monkeypatch, name):
+        (n, width, sizes), threshold = PAIR_SHAPES[name]
+        itemsets, rate = self.PLANTED[name]
+        db = db_from_ids(planted(shaped_rows(1, n, width, sizes), itemsets,
+                                 rate, 2), width)
+        passes = []
+
+        def spy(*args, covers=pairs.covers):
+            passes.append(args[2])
+            return covers(*args)
+
+        monkeypatch.setattr(pairs, "covers", spy)
+        result, _ = mine_levels(db, frequent_singletons(db, threshold),
+                                threshold)
+        assert len(passes) <= (0 if name == "sparse" else 1)
+        assert max(len(f.itemset) for f in result) == (
+            {"dense": 1, "sparse": 3, "quest": 4}[name])
+
+    @pytest.mark.parametrize("share, stored", [(0.13, True), (0.5, False)],
+                             ids=["13%-rare", "50%-rare"])
+    def test_rare_share_picks_the_rows(self, monkeypatch, share, stored):
+        # Over a quarter of the items held infrequent, and the kernel gets
+        # a copy of the transactions with the frequent items alone; at most
+        # a quarter, and it gets them as stored. The ids are shuffled, so
+        # the rare items sit between the frequent ones.
+        rows = planted(shaped_rows(3, 2000, 40, (2, 6)), [(0, 1, 2, 3)],
+                       0.05, 4)
+        rows, width = with_rare_tail(rows, 40, share, 5)
+        shuffled = list(range(width))
+        random.Random(6).shuffle(shuffled)
+        db = db_from_ids([[shuffled[i] for i in row] for row in rows], width)
+        handed = []
+
+        def spy(rows, counts, threshold, pair_counts=pairs.pair_counts):
+            handed.append(rows)
+            return pair_counts(rows, counts, threshold)
+
+        monkeypatch.setattr(pairs, "pair_counts", spy)
+        threshold = 20
+        singletons = frequent_singletons(db, threshold)
+        result, _ = mine_levels(db, singletons, threshold)
+        assert labelled_counts(db, result) == reference_itemsets(
+            db, Fraction(threshold, db.n))
+        assert max(len(f.itemset) for f in result) == 4
+        held = sum(map(len, db.transactions))
+        frequent = sum(f.count for f in singletons)
+        assert abs((held - frequent) / held - share) < 0.02
+        if stored:
+            assert handed == [db.transactions]
+            assert handed[0] is db.transactions
+        else:
+            rank = {f.itemset[0]: r for r, f in enumerate(singletons)}
+            assert handed == [[tuple(rank[i] for i in t if i in rank)
+                               for t in db.transactions]]
 
 
 class TestAprioriMine:

@@ -715,10 +715,22 @@ class TestGen:
         assert code == 0
 
     def test_impossible_basket_range_exits_2(self, capsys):
-        code, out, err = run_cli(capsys, ["gen", "--items", "6"])
+        code, out, err = run_cli(capsys, [
+            "gen", "--items", "6", "--basket-max", "8"])
         assert code == 2
         assert out == ""
-        assert "basket_size_range" in err
+        assert "basket_size_range (1, 8) must satisfy 1 <= min <= max <= " \
+            "universe_size (6)" in err
+
+    @pytest.mark.parametrize("items, widest", [(1, 1), (5, 5), (8, 8),
+                                               (9, 8)])
+    def test_default_basket_max_fits_the_items(self, capsys, items, widest):
+        code, out, err = run_cli(capsys, [
+            "gen", "--transactions", "200", "--items", str(items)])
+        assert code == 0
+        assert err.startswith("generated 200 transactions")
+        sizes = [len(line.split(",")) for line in out.splitlines()]
+        assert max(sizes) == widest
 
     def test_unwritable_output_exits_3(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, [
