@@ -159,8 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--basket-min", type=int_at_least(1), default=1,
                      help="minimum basket size (default 1)")
     gen.add_argument("--basket-max", type=int_at_least(1),
-                     help="maximum basket size (default the smaller of 8 "
-                          "and --items)")
+                     help="maximum basket size (default the larger of 8 "
+                          "and --basket-min, at most --items)")
     gen.add_argument("--pattern", action="append", type=pattern_arg,
                      default=[], metavar="ITEMS:PROB",
                      help='planted pattern, e.g. "milk,bread:0.4"; repeatable')
@@ -458,7 +458,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     from .oracle import GeneratorConfig, generate_db
     basket_max = args.basket_max
     if basket_max is None:
-        basket_max = min(8, args.items)
+        basket_max = min(max(8, args.basket_min), args.items)
     config = GeneratorConfig(
         num_transactions=args.transactions,
         universe_size=args.items,

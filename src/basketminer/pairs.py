@@ -280,12 +280,7 @@ def count_by_covers(cover_of: dict[int, int],
                     threshold: int) -> tuple[PairCounts, dict[int, int]]:
     """``pair_counts`` from the cover of each kept int, by ascending int."""
     ints = list(cover_of)
-    built = list(cover_of.values())
     found: PairCounts = {}
-    for i, cover in enumerate(built):
-        counts = map(int.bit_count, map(cover.__and__, built[:i]))
-        entries = [(q, count) for q, count in zip(ints, counts)
-                   if count >= threshold]
-        if entries:
-            found[ints[i]] = entries
+    for i in range(1, len(ints)):
+        _count_into(found, cover_of, ints[i:i + 1], ints[:i], threshold)
     return found, {p: cover_of[p] for p in _paired(found)}

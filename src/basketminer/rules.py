@@ -1,12 +1,13 @@
 """Association-rule generation and scoring from mined frequent itemsets.
 
-Rules come from ap-genrules (Agrawal & Srikant, "Fast Algorithms for
-Mining Association Rules", VLDB 1994, section 3): for each frequent
-itemset Z, consequents Y grow level by level with an apriori-style join,
-and the rule Z \\ Y -> Y is scored from the counts already mined (no
-database rescan). Moving an item from the antecedent to the consequent
-can only lower confidence, so a consequent whose rule fails the
-confidence test is dropped and never grown further. Thresholds are tested
+For each frequent itemset Z, the consequents Y are walked depth first
+over the set-enumeration tree of Z's items (Rymon, KR 1992): Y grows only
+by an item of Z after its last one, and the rule Z \\ Y -> Y is scored
+from the counts already mined (no database rescan). Moving an item from
+the antecedent to the consequent can only lower confidence, so, as in
+ap-genrules (Agrawal & Srikant, "Fast Algorithms for Mining Association
+Rules", VLDB 1994, section 3), a consequent whose rule fails the
+confidence test is never grown further. Thresholds are tested
 by integer cross-multiplication of the counts. A ``RuleSet`` keeps each
 rule as one int key that packs its canonical sort key, so that sorting the
 rules sorts ints; exact rational scores appear only when
@@ -94,12 +95,15 @@ def generate_rules(frequents: Sequence[FrequentItemset], db: TransactionDb,
     """Emit every rule X -> Z\\X from the frequent itemsets Z whose count
     meets min_support and whose confidence meets min_confidence.
 
-    Consequents of each Z grow by ap-genrules: level 1 holds the single
-    items of Z; a consequent of size m + 1 is the join of two passing
-    consequents of size m that share their first m - 1 items, and is kept
-    only if every one of its size-m subsets passed. A consequent whose
-    rule fails confidence is not grown, since a larger consequent has a
-    smaller antecedent, whose count can only be larger. Both thresholds
+    The consequents of each Z are walked depth first: a consequent grows
+    only by an item of Z after its last one, so each is reached once, from
+    itself without its last item. A consequent whose rule fails confidence
+    is not grown, since a larger consequent has a smaller antecedent,
+    whose count can only be larger; so every consequent with a failing
+    subset fails too, and ap-genrules' subset check is not needed. Each
+    antecedent's rank is one lookup in a table that holds, for each
+    qualifying itemset, the rank of the itemset without each of its
+    items, filled in as the itemset is checked. Both thresholds
     are tested on the integer counts: support against
     ``params.absolute_threshold(N)``, confidence by cross-multiplication.
     ``max_antecedent`` caps the antecedent size of the emitted rules
@@ -110,8 +114,9 @@ def generate_rules(frequents: Sequence[FrequentItemset], db: TransactionDb,
     guarantee. Each qualifying Z is checked once, before its rules: a
     missing immediate subset, or one whose count is below Z's or above N,
     raises InternalConsistencyError. Itemsets are visited smallest first,
-    so every smaller qualifying itemset has been checked already, and by
-    induction every subset of Z is present with a count in that range.
+    so every smaller qualifying itemset has been checked, and has its
+    table row, already; by induction every subset of Z is present with a
+    count in that range.
     An empty database (N = 0) raises DomainError.
     """
     if max_antecedent is not None and max_antecedent < 1:
@@ -132,18 +137,17 @@ def generate_rules(frequents: Sequence[FrequentItemset], db: TransactionDb,
     square = n * n
     rank_bits = len(itemsets).bit_length()
     confidence_shift = n.bit_length() + 2 * rank_bits
+    # drop[r][i] is the rank of itemset r without its item i, for each
+    # qualifying itemset r, built as its subsets are checked.
+    drop: list[tuple[int, ...] | None] = [None] * len(itemsets)
     keys: list[int] = []
     emit = keys.append
     for z in sorted(itemsets, key=len):
         size = len(z)
-        union_count = counts[rank[z]]
+        z_rank = rank[z]
+        union_count = counts[z_rank]
         if size < 2 or union_count < threshold:
             continue
-        scaled = union_count * square
-        support_field = (n - union_count) << 2 * rank_bits
-        bound = union_count * den
-        smallest = 1 if max_antecedent is None else size - max_antecedent
-        # subsets[i] is the rank of Z without its item i.
         subsets = []
         for index in range(size):
             subset = z[:index] + z[index + 1:]
@@ -158,47 +162,34 @@ def generate_rules(frequents: Sequence[FrequentItemset], db: TransactionDb,
                     f"outside the range from the count {union_count} of its "
                     f"superset {z} to the {n} transactions")
             subsets.append(subset_rank)
-        # The passing consequents of one size, each with its antecedent,
-        # in lexicographic consequent order.
-        level = []
-        for index, antecedent_rank in enumerate(subsets):
-            antecedent_count = counts[antecedent_rank]
-            if bound >= num * antecedent_count:
-                consequent = (z[index],)
-                level.append((consequent, itemsets[antecedent_rank]))
-                if smallest <= 1:
+        drop[z_rank] = tuple(subsets)
+        scaled = union_count * square
+        support_field = (n - union_count) << 2 * rank_bits
+        bound = union_count * den
+        smallest = 1 if max_antecedent is None else size - max_antecedent
+        # Each entry: a passing consequent, its antecedent's rank, and the
+        # position in Z after the consequent's last item. Every item of the
+        # consequent lies before that position, so Z's item j, from there
+        # on, sits at position j - len(consequent) of the antecedent.
+        stack = [((), z_rank, 0)]
+        while stack:
+            head, antecedent_rank, start = stack.pop()
+            width = len(head)
+            without = drop[antecedent_rank]
+            grows = width + 2 < size
+            for j in range(start, size):
+                smaller = without[j - width]
+                antecedent_count = counts[smaller]
+                if bound < num * antecedent_count:
+                    continue
+                consequent = head + (z[j],)
+                if smallest <= width + 1:
                     emit(((square - scaled // antecedent_count)
                           << confidence_shift) + support_field
-                         + (antecedent_rank << rank_bits) + rank[consequent])
-        width = 1
-        while len(level) > 1 and width + 1 < size:
-            passed = {consequent for consequent, _ in level}
-            grown = []
-            for first, (head, antecedent) in enumerate(level):
-                prefix = head[:-1]
-                for other, _ in level[first + 1:]:
-                    if other[:-1] != prefix:
-                        break
-                    item = other[-1]
-                    consequent = head + (item,)
-                    # The two parents passed; check the other subsets.
-                    if width > 1 and any(
-                            consequent[:skip] + consequent[skip + 1:]
-                            not in passed for skip in range(width - 1)):
-                        continue
-                    cut = antecedent.index(item)
-                    smaller = antecedent[:cut] + antecedent[cut + 1:]
-                    antecedent_rank = rank[smaller]
-                    antecedent_count = counts[antecedent_rank]
-                    if bound < num * antecedent_count:
-                        continue
-                    grown.append((consequent, smaller))
-                    if smallest <= width + 1:
-                        emit(((square - scaled // antecedent_count)
-                              << confidence_shift) + support_field
-                             + (antecedent_rank << rank_bits)
-                             + rank[consequent])
-            level = grown
-            width += 1
+                         + (smaller << rank_bits) + rank[consequent])
+                if grows:
+                    stack.append((consequent, smaller, j + 1))
+    # Freed before the sort, whose merge buffer sets the memory peak.
+    del drop, rank
     keys.sort()
     return RuleSet(keys, itemsets, counts, params, n)

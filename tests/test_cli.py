@@ -732,6 +732,28 @@ class TestGen:
         sizes = [len(line.split(",")) for line in out.splitlines()]
         assert max(sizes) == widest
 
+    @pytest.mark.parametrize("basket_min, items, widest", [
+        (3, 20, 8), (9, 20, 9), (12, 12, 12)])
+    def test_default_basket_max_rises_to_the_minimum(self, capsys, basket_min,
+                                                     items, widest):
+        code, out, err = run_cli(capsys, [
+            "gen", "--transactions", "200", "--items", str(items),
+            "--basket-min", str(basket_min)])
+        assert code == 0
+        assert err.startswith("generated 200 transactions")
+        sizes = [len(line.split(",")) for line in out.splitlines()]
+        assert (min(sizes), max(sizes)) == (basket_min, widest)
+
+    @pytest.mark.parametrize("flags, pair", [
+        (["--basket-min", "9", "--basket-max", "8"], "(9, 8)"),
+        (["--basket-min", "21"], "(21, 20)")])
+    def test_conflicting_basket_range_exits_2(self, capsys, flags, pair):
+        code, out, err = run_cli(capsys, ["gen", *flags])
+        assert code == 2
+        assert out == ""
+        assert f"basket_size_range {pair} must satisfy 1 <= min <= max <= " \
+            "universe_size (20)" in err
+
     def test_unwritable_output_exits_3(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, [
             "gen", "--output", str(tmp_path / "missing-dir" / "x.basket")])

@@ -224,6 +224,23 @@ class TestGenerateRules:
                        r.antecedent_count) for r in ruleset}
             assert actual == expected
 
+    def test_frequents_in_any_order_give_the_same_rules(self):
+        # Each antecedent's rank is read from the table row of a smaller
+        # itemset, so itemsets must be visited by size whatever their order.
+        rng = random.Random(26)
+        emitted = 0
+        for _ in range(10):
+            db = random_db(rng, max_items=7, max_transactions=20)
+            params = MiningParams(Fraction(1, db.n), Fraction(1, 4))
+            frequents = brute_force_mine(db, params)
+            expected = generate_rules(frequents, db, params)
+            shuffled = list(frequents)
+            rng.shuffle(shuffled)
+            assert generate_rules(shuffled, db, params) == expected
+            assert generate_rules(shuffled[::-1], db, params) == expected
+            emitted += len(expected)
+        assert emitted > 0
+
     def test_canonical_ordering(self):
         rng = random.Random(25)
         for _ in range(10):
