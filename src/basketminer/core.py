@@ -360,11 +360,13 @@ def support_count(db: TransactionDb, ids: Iterable[int]) -> int:
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _LINE_BREAK = re.compile(f"[{_LINE_BREAKS}]")
 _CHUNK = 1 << 16  # bytes asked of the stream per read
+_BOM = "\ufeff"  # dropped once at the start of a file, as "utf-8-sig" does
 
 
 def read_lines(stream: io.BufferedIOBase) -> Iterator[str]:
     """Yield the lines of the UTF-8 byte ``stream`` exactly as
-    ``text.splitlines()`` splits its whole decoded text.
+    ``text.splitlines()`` splits its whole decoded text, less one byte
+    order mark (U+FEFF) at its very start; one anywhere else is kept.
 
     The stream is read up to ``_CHUNK`` bytes at a time (a read may return
     fewer), so memory stays at one chunk plus the longest line. The last
@@ -383,16 +385,23 @@ def read_lines(stream: io.BufferedIOBase) -> Iterator[str]:
     decoder = codecs.getincrementaldecoder("utf-8")()
     carry: list[str] = []  # the unfinished last line, a piece per chunk
     decoded = 0  # bytes given to the decoder before this chunk
+    started = False  # whether the first character has been decoded
     while True:
         chunk = stream.read(_CHUNK)
         pending = len(decoder.getstate()[0])
         try:
-            carry.append(decoder.decode(chunk, final=not chunk))
+            piece = decoder.decode(chunk, final=not chunk)
         except UnicodeDecodeError as exc:
             good = exc.object[:exc.start].decode("utf-8")
+            if not started:
+                good = good.removeprefix(_BOM)
             # The sentinel ends the unfinished line that holds the bad bytes.
             yield from ("".join(carry) + good + "\0").splitlines()[:-1]
             raise _decode_error(exc, decoded - pending) from None
+        if piece and not started:
+            started = True
+            piece = piece.removeprefix(_BOM)
+        carry.append(piece)
         decoded += len(chunk)
         if chunk and not _LINE_BREAK.search(carry[-1]):
             continue
@@ -474,18 +483,24 @@ def ingest_tid_pairs(lines: Iterable[str], skip_header: bool = False) -> Transac
     Rows are grouped by tid (which need not be contiguous or numeric);
     transaction order follows the first appearance of each tid. Duplicate
     (tid, item) rows collapse to a single membership.
+
+    One dict maps each raw tid field and each trimmed tid to that tid's
+    list of item ids, one slot per row; a padded field never equals a
+    trimmed tid, so the two kinds of key cannot clash. The dict is freed
+    before the lists become sorted tuples, each list in place, so the
+    grouping is never held twice.
     """
     dictionary = ItemDictionary()
     ids: dict[str, int] = {}
-    groups: dict[str, list[int]] = {}  # trimmed tid -> its item ids
-    by_raw_tid: dict[str, list[int]] = {}  # raw tid field -> its group
+    by_tid: dict[str, list[int]] = {}  # raw or trimmed tid -> its item ids
+    groups: list[list[int]] = []  # the same lists, by first appearance
     for line_number, raw in enumerate(lines, start=1):
         parts = raw.split(",")
         if len(parts) == 2:
-            group = by_raw_tid.get(parts[0])
+            group = by_tid.get(parts[0])
             if group is not None:
-                # This raw tid opened an accepted row before, so this row
-                # is no comment and its tid is valid.
+                # This field is the raw or trimmed tid of an accepted row,
+                # so this row is no comment and its tid is valid.
                 try:
                     group.append(ids[parts[1]])
                 except KeyError:
@@ -503,15 +518,18 @@ def ingest_tid_pairs(lines: Iterable[str], skip_header: bool = False) -> Transac
         if not tid:
             raise IngestionError("empty transaction id", line_number)
         item = _item_id(parts[1], ids, dictionary, line_number)
-        group = groups.get(tid)
+        group = by_tid.get(tid)
         if group is None:
-            group = groups[tid] = []
-        by_raw_tid[parts[0]] = group
+            group = by_tid[tid] = []
+            groups.append(group)
+        by_tid[parts[0]] = group
         group.append(item)
     if not groups:
         raise EmptyInputError("input contains no transactions")
-    transactions = tuple(tuple(sorted(set(group))) for group in groups.values())
-    return TransactionDb._trusted(transactions, dictionary)
+    del by_tid
+    for k, group in enumerate(groups):
+        groups[k] = tuple(sorted(set(group)))
+    return TransactionDb._trusted(tuple(groups), dictionary)
 
 
 def to_basket_text(db: TransactionDb) -> str:

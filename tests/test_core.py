@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from basketminer import cli
 from basketminer.apriori import CandidateSet
 from basketminer.core import (
     AssociationRule,
@@ -417,11 +418,13 @@ class TestSupportCountProperties:
         assert support_count(db, x) >= support_count(db, y)
 
 
-# Every break str.splitlines knows, with text that is not ASCII and the
-# characters basket and tidpairs input treats specially.
+BOM = "\ufeff"
+# Every break str.splitlines knows, with text that is not ASCII, the
+# characters basket and tidpairs input treats specially and the byte order
+# mark, which ``read_lines`` drops only at the start of the text.
 LINE_PIECES = ("\r", "\n", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
                "\x85", "\u2028", "\u2029", "a", "bc", "é", "€", "😀", ",", " ",
-               "#")
+               "#", BOM)
 BAD_UTF8 = (b"\xff", b"\x80", b"\xc3(", b"\xe2\x82", b"\xed\xa0\x80",
             b"\xf0\x9f\x98")
 
@@ -450,7 +453,7 @@ class TestReadLines:
            limit=st.integers(1, 9))
     def test_yields_what_splitlines_gives(self, text, limit):
         stream = ShortReads(text.encode("utf-8"), limit)
-        assert list(read_lines(stream)) == text.splitlines()
+        assert list(read_lines(stream)) == text.removeprefix(BOM).splitlines()
 
     def test_default_chunks_carry_long_lines_and_crlf(self):
         # A 100,000-byte line spans two 64 KiB chunks, and the "\r\n" after
@@ -474,7 +477,48 @@ class TestReadLines:
         with pytest.raises(UnicodeError) as streamed:
             lines.extend(read_lines(ShortReads(raw, limit)))
         assert str(streamed.value) == str(whole.value)
-        assert lines == complete_lines(text[:cut])
+        assert lines == complete_lines(text[:cut].removeprefix(BOM))
+
+    @pytest.mark.parametrize("limit", range(1, 10))
+    def test_leading_byte_order_mark_is_dropped_over_short_reads(self, limit):
+        # Only the first mark goes; the others stay part of their fields.
+        text = f"1,milk\r\n{BOM}1,bread\n2,{BOM}milk{BOM}"
+        raw = (BOM + text).encode("utf-8")
+        assert list(read_lines(ShortReads(raw, limit))) == text.splitlines()
+
+    # A mark, then a bad byte at once or after a line; two marks; and the
+    # first two bytes of a mark, cut short by a bad byte or by the end.
+    @pytest.mark.parametrize("raw", [
+        b"\xef\xbb\xbf\xff", b"\xef\xbb\xbfa\nb\x80",
+        b"\xef\xbb\xbf\xef\xbb\xbf\xc3(", b"\xef\xbb\xff", b"\xef\xbb\xbf\xef\xbb",
+    ])
+    @pytest.mark.parametrize("limit", [1, 2, 3, 4, 9])
+    def test_bad_bytes_after_a_byte_order_mark_keep_their_position(self, raw,
+                                                                   limit):
+        with pytest.raises(UnicodeDecodeError) as whole:
+            raw.decode("utf-8")
+        text = raw[:whole.value.start].decode("utf-8")
+        lines = []
+        with pytest.raises(UnicodeError) as streamed:
+            lines.extend(read_lines(ShortReads(raw, limit)))
+        assert str(streamed.value) == str(whole.value)
+        assert lines == complete_lines(text.removeprefix(BOM))
+
+
+@pytest.mark.parametrize("file_format, skip_header, text", [
+    ("basket", False, "a,b\nb,a\n"),
+    ("basket", False, "# export\na,b\n"),
+    ("tidpairs", False, "1,milk\n1,bread\n2,milk\n2,bread\n"),
+    ("tidpairs", True, "tid,item\n1,milk\n1,bread\n2,milk\n"),
+])
+def test_byte_order_mark_file_loads_as_the_file_without_it(
+        tmp_path, file_format, skip_header, text):
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+    assert cli.load_db(str(marked), file_format, skip_header) == \
+        cli.load_db(str(plain), file_format, skip_header)
 
 
 def outcome(parse, *args):
