@@ -111,44 +111,26 @@ def mine_levels(db: TransactionDb, singletons: Sequence[FrequentItemset],
     benchmark-visible cost of candidate generation. Level 2 joins every
     pair of singletons, so its table is C(F, 2) for F singletons; it is
     counted by ``pairs.pair_counts``, which also returns the cover of each
-    item in a frequent pair, N/8 bytes each. The levels above intersect
-    those covers: a later candidate joins frequent itemsets of the level
-    before, so it uses no other item.
-
-    The kernel reads the transactions as they are stored, with item ids
-    as its ints, and ignores the infrequent items. Only when those make up
-    more than a quarter of all the items held are the transactions copied
-    with the frequent items alone, ranked by id: there the infrequent
-    items would swell the kernel's estimate of what counting inside the
-    transactions costs, and the work of each pass.
+    item in a frequent pair, N/8 bytes each. It reads the transactions as
+    they are stored, with item ids as its ints, and ignores the infrequent
+    items. The levels above intersect those covers: a later candidate
+    joins frequent itemsets of the level before, so it uses no other item.
     """
-    frequent = sorted((f.itemset[0], f.count) for f in singletons)
-    held = sum(map(len, db.transactions))
-    if 4 * sum(count for _, count in frequent) >= 3 * held:
-        ids: Sequence[int] = range(len(db.dictionary))
-        rows = db.transactions
-        counts = [0] * len(ids)
-        for item, count in frequent:
-            counts[item] = count
-    else:
-        ids = [item for item, _ in frequent]
-        rank = {item: position for position, item in enumerate(ids)}
-        rows = [tuple([rank[i] for i in t if i in rank])
-                for t in db.transactions]
-        counts = [count for _, count in frequent]
-    counted, covers = pairs.pair_counts(rows, counts, threshold)
-    cover_of = {ids[p]: cover for p, cover in covers.items()}
-    level = [FrequentItemset((ids[q], ids[p]), count)
+    counts = [0] * len(db.dictionary)
+    for f in singletons:
+        counts[f.itemset[0]] = f.count
+    counted, covers = pairs.pair_counts(db.transactions, counts, threshold)
+    level = [FrequentItemset((q, p), count)
              for p, found in counted.items() for q, count in found]
     result = list(singletons)
     result.extend(level)
-    peak_candidates = len(frequent) * (len(frequent) - 1) // 2
+    peak_candidates = len(singletons) * (len(singletons) - 1) // 2
     while level:
         candidate_set = candidate_gen(level)
         peak_candidates = max(peak_candidates, len(candidate_set.candidates))
         if not candidate_set.candidates:
             break
-        level = _count(cover_of, candidate_set, threshold)
+        level = _count(covers, candidate_set, threshold)
         result.extend(level)
     result.sort(key=lambda f: (len(f.itemset), f.itemset))
     return result, peak_candidates

@@ -8,7 +8,8 @@ time, so that one batch of line strings is alive at once; the table takes
 its column widths first, in a pass that keeps no text.
 
 Exit codes: 0 success, 2 bad flags or config, 3 unreadable input or
-unwritable output (a closed standard output included), 4 guard refusal
+unwritable output (a closed standard output, or one whose encoding lacks
+a character of the report, included), 4 guard refusal
 (brute force over more than 20 items, or past 2^22 subset tests).
 
 Every ``basketminer`` run is a fresh process, so the module imports at its
@@ -417,18 +418,26 @@ def rules_as_json(ruleset: RuleSet, db: TransactionDb, algorithm: str,
     return "".join(pieces)
 
 
-def write_stdout(text: str) -> None:
-    """Write ``text`` to standard output and flush it.
+# write_stdout hands the stream this many characters at a time, so that
+# it never holds the encoding of the whole text beside the text.
+_WRITE_CHUNK = 1 << 16
 
-    A failed write, such as to a pipe whose reader has gone, raises
-    ``IngestionError``. The output descriptor is then pointed at the null
-    device, so that the interpreter's own flush at exit finds nothing to
-    fail on and prints no "Exception ignored" text.
+
+def write_stdout(text: str) -> None:
+    """Write ``text`` to standard output, ``_WRITE_CHUNK`` characters at a
+    time, and flush it.
+
+    A failed write, such as to a pipe whose reader has gone or of a
+    character the stream's encoding lacks, raises ``IngestionError``; the
+    slices before it may have been written. The output descriptor is then
+    pointed at the null device, so that the interpreter's own flush at
+    exit finds nothing to fail on and prints no "Exception ignored" text.
     """
     try:
-        sys.stdout.write(text)
+        for start in range(0, len(text), _WRITE_CHUNK):
+            sys.stdout.write(text[start:start + _WRITE_CHUNK])
         sys.stdout.flush()
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

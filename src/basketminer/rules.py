@@ -138,8 +138,10 @@ def generate_rules(frequents: Sequence[FrequentItemset], db: TransactionDb,
     rank_bits = len(itemsets).bit_length()
     confidence_shift = n.bit_length() + 2 * rank_bits
     # drop[r][i] is the rank of itemset r without its item i, for each
-    # qualifying itemset r, built as its subsets are checked.
-    drop: list[tuple[int, ...] | None] = [None] * len(itemsets)
+    # qualifying itemset r, built as its subsets are checked. Rows stay
+    # lists: freed, a list returns its items to the allocator, where small
+    # tuples would stay in the interpreter's free lists.
+    drop: list[list[int] | None] = [None] * len(itemsets)
     keys: list[int] = []
     emit = keys.append
     for z in sorted(itemsets, key=len):
@@ -162,7 +164,7 @@ def generate_rules(frequents: Sequence[FrequentItemset], db: TransactionDb,
                     f"outside the range from the count {union_count} of its "
                     f"superset {z} to the {n} transactions")
             subsets.append(subset_rank)
-        drop[z_rank] = tuple(subsets)
+        drop[z_rank] = subsets
         scaled = union_count * square
         support_field = (n - union_count) << 2 * rank_bits
         bound = union_count * den

@@ -4,6 +4,7 @@ expectations exactly and enforcing the stated runtime budgets."""
 import gc
 import io
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -353,6 +354,30 @@ def test_dense_rules_within_time_and_memory_bounds():
     assert peak < 6 * 2**20, f"rules and CSV peaked at {peak / 2**20:.1f} MiB"
     print(f"dense rules gate PASS: 154,168 rules and CSV in {elapsed:.2f}s; "
           f"29,502 rules and CSV peaked at {peak / 2**20:.1f} MiB")
+
+
+def test_dense_rules_retain_only_their_ruleset():
+    # What generate_rules leaves allocated beyond the RuleSet's own keys
+    # and tuples, such as its working tables' small tuples kept in the
+    # interpreter's free lists. The full collection empties those lists
+    # first; the itemsets and counts are the mined objects, so not new.
+    db = dense_db()
+    params = MiningParams(Fraction(3, 100), Fraction(4, 5))
+    frequents = apriori_mine(db, params)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ruleset = generate_rules(frequents, db, params)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ruleset) == 29_502
+    own = sum(map(sys.getsizeof, (ruleset, ruleset.rows, ruleset.itemsets,
+                                  ruleset.counts, *ruleset.rows)))
+    left = held - own
+    assert left < 256 << 10, f"rules left {left / 1024:.0f} KiB behind"
+    print(f"dense rules retention PASS: {left / 1024:.0f} KiB left beyond "
+          f"the 29,502 rules")
 
 
 def load_within_bounds(path, file_format, repeat):

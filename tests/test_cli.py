@@ -9,6 +9,7 @@ import random
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -778,15 +779,21 @@ def entry_point_command():
     return [sys.executable, "-c", f"from {module} import {function}; {function}()"]
 
 
-def run_entry_point(args, stdout=subprocess.PIPE):
-    # The child must import the same basketminer as this process, not an
-    # installed copy that might shadow the checkout.
+def entry_point_env(**extra):
+    """This process's environment plus ``extra``, with the checkout first on
+    the path: the child must import the same basketminer as this process,
+    not an installed copy that might shadow the checkout."""
     src_dir = Path(basketminer.__file__).resolve().parent.parent
-    env = dict(os.environ)
+    env = dict(os.environ, **extra)
     existing = env.get("PYTHONPATH")
     env["PYTHONPATH"] = str(src_dir) + (os.pathsep + existing if existing else "")
+    return env
+
+
+def run_entry_point(args, stdout=subprocess.PIPE, **extra_env):
     return subprocess.run(entry_point_command() + args, stdout=stdout,
-                          stderr=subprocess.PIPE, text=True, env=env)
+                          stderr=subprocess.PIPE, text=True,
+                          env=entry_point_env(**extra_env))
 
 
 class TestEntryPoint:
@@ -821,3 +828,59 @@ class TestEntryPoint:
         assert proc.returncode == cli.EXIT_INGESTION
         assert proc.stderr.startswith("error: cannot write standard output: ")
         assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["mine", "gen"])
+    def test_reader_gone_mid_report_exits_3_without_a_traceback(
+            self, tmp_path, command):
+        # The reader closes the pipe after the first 128 KiB, and the pipe
+        # holds 64 KiB more, so with a report past 192 KiB a later slice's
+        # write fails, not the first. Each basket's two long labels give
+        # two rules.
+        if command == "mine":
+            path = tmp_path / "long.basket"
+            path.write_text("".join(f"{'a' * 120}{i},{'b' * 120}{i}\n"
+                                    for i in range(600)), encoding="utf-8")
+            args = ["mine", "--input", str(path), "--output", "csv",
+                    "--min-support", "1/600", "--min-confidence", "1"]
+        else:
+            args = ["gen", "--transactions", "10000", "--output", "-"]
+        head_size = 128 << 10
+        with subprocess.Popen(entry_point_command() + args,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=entry_point_env()) as proc:
+            head = proc.stdout.read(head_size)
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+        assert len(head) == head_size
+        assert proc.returncode == cli.EXIT_INGESTION
+        assert err.startswith("error: cannot write standard output: ")
+        assert err.count("\n") == 1
+
+    def test_unencodable_report_exits_3_without_a_traceback(self, tmp_path):
+        path = tmp_path / "cafe.basket"
+        path.write_text("café,milk\ncafé,milk\n", encoding="utf-8")
+        proc = run_entry_point(
+            ["mine", "--input", str(path), "--min-support", "1/2",
+             "--min-confidence", "1/2"], PYTHONIOENCODING="ascii")
+        assert proc.returncode == cli.EXIT_INGESTION
+        assert proc.stderr.startswith("error: cannot write standard output: ")
+        assert "'ascii' codec can't encode" in proc.stderr
+        assert proc.stderr.count("\n") == 1
+
+
+class TestWriteStdout:
+    def test_peak_stays_under_a_mebibyte(self, monkeypatch):
+        # The stream is handed slices, so it never holds the encoding of
+        # the whole report, which here is over 4 MiB in UTF-8.
+        line = "café,milk,1/2,1\n"
+        text = line * ((4 << 20) // len(line) + 1)
+        with open(os.devnull, "w", encoding="utf-8") as sink, \
+                monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                cli.write_stdout(text)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 1 << 20, f"write peaked at {peak / 2**20:.2f} MiB"
