@@ -128,8 +128,6 @@ def mine_levels(db: TransactionDb, singletons: Sequence[FrequentItemset],
     while level:
         candidate_set = candidate_gen(level)
         peak_candidates = max(peak_candidates, len(candidate_set.candidates))
-        if not candidate_set.candidates:
-            break
         level = _count(covers, candidate_set, threshold)
         result.extend(level)
     result.sort(key=lambda f: (len(f.itemset), f.itemset))

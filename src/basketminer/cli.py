@@ -418,14 +418,21 @@ def rules_as_json(ruleset: RuleSet, db: TransactionDb, algorithm: str,
     return "".join(pieces)
 
 
-# write_stdout hands the stream this many characters at a time, so that
+# write_stdout encodes and writes this many characters at a time, so that
 # it never holds the encoding of the whole text beside the text.
 _WRITE_CHUNK = 1 << 16
 
 
 def write_stdout(text: str) -> None:
-    """Write ``text`` to standard output, ``_WRITE_CHUNK`` characters at a
-    time, and flush it.
+    """Write ``text`` to standard output and flush it.
+
+    Each slice of ``_WRITE_CHUNK`` characters is encoded with the stream's
+    encoding and error handler and written to its binary buffer until
+    every byte is taken. Unbuffered (``PYTHONUNBUFFERED`` or ``-u``), that
+    buffer is the raw file, whose write may take only part of a slice, as
+    when a pipe's reader leaves mid-write; the text layer would drop the
+    rest unreported. A stream with no binary buffer, such as an
+    ``io.StringIO``, is written as text.
 
     A failed write, such as to a pipe whose reader has gone or of a
     character the stream's encoding lacks, raises ``IngestionError``; the
@@ -433,10 +440,20 @@ def write_stdout(text: str) -> None:
     pointed at the null device, so that the interpreter's own flush at
     exit finds nothing to fail on and prints no "Exception ignored" text.
     """
+    stream = sys.stdout
+    binary = getattr(stream, "buffer", None)
     try:
-        for start in range(0, len(text), _WRITE_CHUNK):
-            sys.stdout.write(text[start:start + _WRITE_CHUNK])
-        sys.stdout.flush()
+        if binary is None:
+            stream.write(text)
+        else:
+            stream.flush()
+            encoding, errors = stream.encoding, stream.errors
+            for start in range(0, len(text), _WRITE_CHUNK):
+                data = memoryview(text[start:start + _WRITE_CHUNK]
+                                  .encode(encoding, errors))
+                while data:
+                    data = data[binary.write(data):]
+        stream.flush()
     except (OSError, UnicodeEncodeError) as exc:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())

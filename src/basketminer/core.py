@@ -50,12 +50,12 @@ class Frozen:
     """Base of the immutable value classes.
 
     A subclass lists its fields in ``_fields``, in ``__init__`` order, and
-    also as ``__slots__``, beside any slot of its own; its ``__init__``
-    validates them and sets them with ``object.__setattr__``, as a frozen
-    dataclass's does. Instances equal only instances of their own class
-    with equal fields, hash by their fields, refuse assignment and
-    deletion with ``AttributeError``, and pickle and copy through
-    ``__init__``, so a copy is validated as the original was.
+    also as ``__slots__``; its ``__init__`` validates them and sets them
+    with ``object.__setattr__``, as a frozen dataclass's does. Instances
+    equal only instances of their own class with equal fields, hash by
+    their fields, refuse assignment and deletion with ``AttributeError``,
+    and pickle and copy through ``__init__``, so a copy is validated as
+    the original was.
     """
 
     __slots__ = ()
@@ -183,8 +183,7 @@ class TransactionDb(Frozen):
     Safe for concurrent reads; all mining engines treat it as read-only.
     """
 
-    _fields = ("transactions", "dictionary")
-    __slots__ = _fields + ("_sets",)
+    __slots__ = _fields = ("transactions", "dictionary")
 
     def __init__(self, transactions: tuple[ItemSet, ...],
                  dictionary: ItemDictionary) -> None:
@@ -212,16 +211,6 @@ class TransactionDb(Frozen):
     def n(self) -> int:
         """Number of transactions."""
         return len(self.transactions)
-
-    @property
-    def transaction_sets(self) -> tuple[frozenset[int], ...]:
-        """Each transaction as a frozenset, built on first use and kept."""
-        try:
-            return self._sets
-        except AttributeError:
-            sets = tuple(frozenset(t) for t in self.transactions)
-            object.__setattr__(self, "_sets", sets)
-            return sets
 
     def item_frequencies(self) -> Counter[int]:
         """Per-item occurrence counts (one per containing transaction)."""
@@ -354,7 +343,7 @@ def support_count(db: TransactionDb, ids: Iterable[int]) -> int:
             raise DomainError(f"unknown item id: {i}")
     if not needed:
         return db.n
-    return sum(1 for t in db.transaction_sets if needed <= t)
+    return sum(1 for t in db.transactions if needed.issubset(t))
 
 
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"

@@ -54,7 +54,7 @@ def brute_force_mine(db: TransactionDb, params: MiningParams) -> list[FrequentIt
             f"brute-force enumeration over {universe} items exceeds the "
             f"{MAX_ORACLE_ITEMS}-item guard; use a real engine")
     threshold = params.absolute_threshold(db.n)
-    transactions = db.transaction_sets
+    transactions = [frozenset(t) for t in db.transactions]
     result: list[FrequentItemset] = []
     tests = 0
     for size in range(1, universe + 1):

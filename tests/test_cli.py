@@ -13,7 +13,7 @@ import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
-from time import perf_counter
+from time import perf_counter, sleep
 
 import pytest
 from hypothesis import given, settings
@@ -723,6 +723,13 @@ class TestGen:
         assert "basket_size_range (1, 8) must satisfy 1 <= min <= max <= " \
             "universe_size (6)" in err
 
+    def test_seed_past_64_bits_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, [
+            "gen", "--seed", str(2 ** 64)])
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed must be an unsigned 64-bit integer\n"
+
     @pytest.mark.parametrize("items, widest", [(1, 1), (5, 5), (8, 8),
                                                (9, 8)])
     def test_default_basket_max_fits_the_items(self, capsys, items, widest):
@@ -853,6 +860,68 @@ class TestEntryPoint:
             err = proc.stderr.read().decode()
         assert len(head) == head_size
         assert proc.returncode == cli.EXIT_INGESTION
+        assert err.startswith("error: cannot write standard output: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("command", ["mine", "gen"])
+    def test_reader_gone_in_the_last_slice_exits_3(self, tmp_path, command,
+                                                   unbuffered):
+        # Each report is two slices of at most 64 Ki characters, all ASCII,
+        # and the pipe holds 64 KiB. The reader waits until the pipe is
+        # full, so the first slice is written and the writer is blocked in
+        # the second; it reads 8 KiB, waits until the writer has filled the
+        # pipe again, and closes it. The writer's blocked write then
+        # returns the 8 KiB it took, and only the writer can see that the
+        # rest of the slice is not written.
+        fcntl = pytest.importorskip("fcntl")
+        termios = pytest.importorskip("termios")
+        if not hasattr(fcntl, "F_SETPIPE_SZ"):
+            pytest.skip("the pipe's capacity cannot be set")
+        if command == "mine":
+            path = tmp_path / "long.basket"
+            path.write_text("".join(f"{'a' * 120}{i},{'b' * 120}{i}\n"
+                                    for i in range(200)), encoding="utf-8")
+            args = ["mine", "--input", str(path), "--output", "csv",
+                    "--min-support", "1/200", "--min-confidence", "1"]
+        else:
+            args = ["gen", "--transactions", "2000", "--output", "-"]
+        env = entry_point_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        capacity = 64 << 10
+        read_end, write_end = os.pipe()
+        try:
+            fcntl.fcntl(read_end, fcntl.F_SETPIPE_SZ, capacity)
+            proc = subprocess.Popen(entry_point_command() + args,
+                                    stdout=write_end, stderr=subprocess.PIPE,
+                                    env=env)
+        except BaseException:
+            os.close(read_end)
+            raise
+        finally:
+            os.close(write_end)
+
+        def wait_until_full():
+            held = bytearray(4)
+            deadline = perf_counter() + 60
+            while proc.poll() is None and perf_counter() < deadline:
+                fcntl.ioctl(read_end, termios.FIONREAD, held)
+                if int.from_bytes(held, sys.byteorder) >= capacity:
+                    return True
+                sleep(0.001)
+            return False
+
+        with proc:
+            try:
+                assert wait_until_full()
+                assert len(os.read(read_end, 8 << 10)) == 8 << 10
+                assert wait_until_full()
+            finally:
+                os.close(read_end)
+            err = proc.stderr.read().decode()
+        assert proc.returncode == cli.EXIT_INGESTION, err
         assert err.startswith("error: cannot write standard output: ")
         assert err.count("\n") == 1
 

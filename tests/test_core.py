@@ -231,6 +231,7 @@ VALUE_CLASSES = [
 @pytest.mark.parametrize("cls, args, field, text", VALUE_CLASSES)
 def test_value_class_contract(cls, args, field, text):
     value = cls(*args)
+    assert cls.__slots__ == cls._fields
     assert repr(value) == text
     # Equality is by fields within one class only.
     assert value == cls(*args)
@@ -254,14 +255,6 @@ def test_value_class_contract(cls, args, field, text):
         assert type(twin) is cls
         assert twin == value
         assert repr(twin) == text
-
-
-def test_transaction_sets_are_built_once():
-    db = TransactionDb(((0, 1), (1,)), two_labels())
-    sets = db.transaction_sets
-    assert sets == (frozenset({0, 1}), frozenset({1}))
-    assert db.transaction_sets is sets
-    assert pickle.loads(pickle.dumps(db)).transaction_sets == sets
 
 
 class TestMiningParams:
@@ -328,6 +321,17 @@ class TestMiningParams:
     ])
     def test_threshold_of_4300_digits_parses(self, text, expected):
         assert MiningParams(text, 1).min_support == expected
+
+
+@pytest.mark.parametrize("cls, args, message", [
+    (FrequentItemset, ((), 1), "frequent itemset must be non-empty"),
+    (FrequentItemset, ((0,), 0), "support count must be positive"),
+    (AssociationRule, ((), (1,), 1, 1, 1), "must be non-empty"),
+    (AssociationRule, ((0,), (), 1, 1, 1), "must be non-empty"),
+])
+def test_value_class_refuses_an_empty_side_or_a_zero_count(cls, args, message):
+    with pytest.raises(ValueError, match=message):
+        cls(*args)
 
 
 class TestAssociationRule:

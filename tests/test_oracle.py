@@ -86,23 +86,39 @@ class TestGeneratorConfig:
         GeneratorConfig(num_transactions=10, universe_size=5,
                         basket_size_range=(1, 5))
 
-    @pytest.mark.parametrize("kwargs", [
-        {"num_transactions": 0, "universe_size": 5},
-        {"num_transactions": 10, "universe_size": 0},
-        {"num_transactions": 10, "universe_size": 5, "basket_size_range": (0, 3)},
-        {"num_transactions": 10, "universe_size": 5, "basket_size_range": (4, 3)},
-        {"num_transactions": 10, "universe_size": 5, "basket_size_range": (1, 6)},
-        {"num_transactions": 10, "universe_size": 5,
-         "patterns": ((("a", ""), 0.5),)},
-        {"num_transactions": 10, "universe_size": 5,
-         "patterns": (((), 0.5),)},
-        {"num_transactions": 10, "universe_size": 5,
-         "patterns": ((("a",), 1.5),)},
-        {"num_transactions": 10, "universe_size": 5, "seed": -1},
-        {"num_transactions": 10, "universe_size": 5, "seed": 2 ** 64},
+    # Each case breaks one rule, and its message names that rule: the
+    # default basket_size_range (1, 8) would fail a 5-item universe first.
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"num_transactions": 0, "universe_size": 5}, "num_transactions"),
+        ({"num_transactions": 10, "universe_size": 0}, "universe_size must"),
+        ({"num_transactions": 10, "universe_size": 5,
+          "basket_size_range": (0, 3)}, r"basket_size_range \(0, 3\)"),
+        ({"num_transactions": 10, "universe_size": 5,
+          "basket_size_range": (4, 3)}, r"basket_size_range \(4, 3\)"),
+        ({"num_transactions": 10, "universe_size": 5,
+          "basket_size_range": (1, 6)}, r"basket_size_range \(1, 6\)"),
+        ({"num_transactions": 10, "universe_size": 5,
+          "basket_size_range": (1, 5), "patterns": ((("a", ""), 0.5),)},
+         "has empty labels"),
+        ({"num_transactions": 10, "universe_size": 5,
+          "basket_size_range": (1, 5), "patterns": ((("a", " "), 0.5),)},
+         "has empty labels"),
+        ({"num_transactions": 10, "universe_size": 5,
+          "basket_size_range": (1, 5), "patterns": (((), 0.5),)},
+         "has empty labels"),
+        ({"num_transactions": 10, "universe_size": 5,
+          "basket_size_range": (1, 5), "patterns": ((("a",), 1.5),)},
+         r"probability 1\.5 not in \[0, 1\]"),
+        ({"num_transactions": 10, "universe_size": 5,
+          "basket_size_range": (1, 5), "patterns": ((("a",), -0.5),)},
+         r"probability -0\.5 not in \[0, 1\]"),
+        ({"num_transactions": 10, "universe_size": 5,
+          "basket_size_range": (1, 5), "seed": -1}, "unsigned 64-bit"),
+        ({"num_transactions": 10, "universe_size": 5,
+          "basket_size_range": (1, 5), "seed": 2 ** 64}, "unsigned 64-bit"),
     ])
-    def test_invalid_configs_rejected(self, kwargs):
-        with pytest.raises(ConfigError):
+    def test_invalid_configs_rejected(self, kwargs, message):
+        with pytest.raises(ConfigError, match=message):
             GeneratorConfig(**kwargs)
 
 
