@@ -3,9 +3,14 @@
 ``mine`` renders a ``RuleSet``'s decoded rows itself: the table prints
 whole percents (a half rounded up), CSV and JSON print exact ratios in
 lowest terms, and JSON adds the nearest float. Each renderer returns the
-whole report as one string, but joins its lines ``LINES_PER_BATCH`` at a
-time, so that one batch of line strings is alive at once; the table takes
-its column widths first, in a pass that keeps no text.
+whole report as one string. A generator makes it ``LINES_PER_BATCH``
+lines at a time, so that one batch of line strings is alive at once, and
+``concatenated`` appends each batch to one string, which CPython grows in
+place, instead of joining them, so that the report is held once. Under a
+trace function CPython copies the string on each append instead, so the
+batches are gathered until they exceed 1/32 of the text and the copying
+stays linear. The table takes its column widths first, in a pass that
+keeps no text.
 
 Exit codes: 0 success, 2 bad flags or config, 3 unreadable input or
 unwritable output (a closed standard output, or one whose encoding lacks
@@ -25,7 +30,7 @@ import io
 import math
 import os
 import sys
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import islice
 
@@ -249,35 +254,67 @@ class Memo(dict):
 LINES_PER_BATCH = 512
 
 
-def extend_joined(pieces: list[str], lines: Iterable[str],
-                  separator: str = "") -> None:
-    """Append ``separator.join(lines)`` to ``pieces``, as one piece per
-    ``LINES_PER_BATCH`` lines with a ``separator`` piece between two."""
+def concatenated(pieces: Iterable[str]) -> str:
+    """``"".join(pieces)``, built by appending to one local string.
+
+    CPython grows a string in place when one local alone refers to it, so
+    the pieces and their concatenation are never all alive at once, as
+    they are under ``join``. Under a trace function (a debugger, or
+    coverage on 3.11) each append copies the string instead; the pieces
+    are therefore gathered until they exceed 1/32 of the text so far, so
+    that even then the copies add up to about 33 times the text's length,
+    not one copy of the text per piece.
+    """
+    text = ""
+    gathered: list[str] = []
+    size = 0
+    for piece in pieces:
+        gathered.append(piece)
+        size += len(piece)
+        if size << 5 > len(text):
+            chunk = "".join(gathered)
+            gathered.clear()
+            size = 0
+            # Last in its block: 3.13 fuses a store with a load right after
+            # it into one instruction, and that append then copies.
+            text += chunk
+    # Appended, not returned as ``text + ...``: that would copy the whole
+    # text once more; under ``if``, so that ``return`` starts a new block.
+    if gathered:
+        text += "".join(gathered)
+    return text
+
+
+def joined_pieces(lines: Iterable[str],
+                  separator: str = "") -> Iterator[str]:
+    """``separator.join(lines)`` as one piece per ``LINES_PER_BATCH``
+    lines, with a ``separator`` piece between two."""
     lines = iter(lines)
     batch = list(islice(lines, LINES_PER_BATCH))
     while batch:
-        pieces.append(separator.join(batch))
+        yield separator.join(batch)
         batch = list(islice(lines, LINES_PER_BATCH))
         if batch:
-            pieces.append(separator)
+            yield separator
 
 
-def extend_table(pieces: list[str], columns: Sequence[str],
-                 widths: Sequence[int], rows: Iterable[Sequence[str]]) -> None:
-    """Append to ``pieces`` the table of ``rows`` under ``columns``, each
-    column as wide as its header or its width in ``widths`` (the longest
-    cell in it), whichever is wider, and each line without trailing
-    blanks."""
+def table_pieces(columns: Sequence[str], widths: Sequence[int],
+                 rows: Iterable[Sequence[str]]) -> Iterator[str]:
+    """The table of ``rows`` under ``columns``, each column as wide as its
+    header or its width in ``widths`` (the longest cell in it), whichever
+    is wider, and each line without trailing blanks."""
     widths = list(map(max, map(len, columns), widths))
-    pieces.append(" | ".join(map(str.ljust, columns, widths)).rstrip())
-    pieces.append("\n" + "-+-".join("-" * width for width in widths))
+    yield " | ".join(map(str.ljust, columns, widths)).rstrip()
+    yield "\n" + "-+-".join("-" * width for width in widths)
     line = ("\n" + " | ".join(f"{{:<{width}}}" for width in widths)).format
-    extend_joined(pieces, (line(*row).rstrip() for row in rows))
-    pieces.append("\n")
+    yield from joined_pieces(line(*row).rstrip() for row in rows)
+    yield "\n"
 
 
-def rules_as_table(ruleset: RuleSet, db: TransactionDb,
-                   frequents: Sequence[FrequentItemset] | None) -> str:
+def rule_table_pieces(ruleset: RuleSet, db: TransactionDb,
+                      frequents: Sequence[FrequentItemset] | None
+                      ) -> Iterator[str]:
+    """The pieces of ``rules_as_table``."""
     labels = list(db.dictionary)
     n = ruleset.n_transactions
     itemsets = ruleset.itemsets
@@ -299,28 +336,33 @@ def rules_as_table(ruleset: RuleSet, db: TransactionDb,
               max(map(len, map(names.__getitem__, consequents)), default=0),
               len(supports[max(unions, default=0)]),
               len(f"{max(confidences, default=0)}%")]
-    pieces: list[str] = []
-    extend_table(pieces, RULE_TABLE_HEADER, widths, (
+    yield from table_pieces(RULE_TABLE_HEADER, widths, (
         (names[antecedent], names[consequent], supports[union],
          f"{whole_percent(union, antecedent_count)}%")
         for antecedent, consequent, union, antecedent_count
         in ruleset.decoded()))
     if frequents is not None:
         threshold = ruleset.params.absolute_threshold(n)
-        pieces.append(f"\nFrequent itemsets (count >= {threshold} of {n}):\n")
+        yield f"\nFrequent itemsets (count >= {threshold} of {n}):\n"
         widths = [0, 0, 0]
         if frequents:
             top = max(f.count for f in frequents)
             widths = [max(len(name(f.itemset)) for f in frequents),
                       len(str(top)), len(f"{top}/{n}")]
-        extend_table(pieces, ("Itemset", "Count", "Support"), widths, (
+        yield from table_pieces(("Itemset", "Count", "Support"), widths, (
             (name(f.itemset), str(f.count), f"{f.count}/{n}")
             for f in frequents))
-    return "".join(pieces)
 
 
-def rules_as_csv(ruleset: RuleSet, db: TransactionDb,
-                 frequents: Sequence[FrequentItemset] | None) -> str:
+def rules_as_table(ruleset: RuleSet, db: TransactionDb,
+                   frequents: Sequence[FrequentItemset] | None) -> str:
+    return concatenated(rule_table_pieces(ruleset, db, frequents))
+
+
+def rule_csv_pieces(ruleset: RuleSet, db: TransactionDb,
+                    frequents: Sequence[FrequentItemset] | None
+                    ) -> Iterator[str]:
+    """The pieces of ``rules_as_csv``."""
     labels = list(db.dictionary)
     n = ruleset.n_transactions
     itemsets = ruleset.itemsets
@@ -330,18 +372,22 @@ def rules_as_csv(ruleset: RuleSet, db: TransactionDb,
 
     names = Memo(lambda rank: name(itemsets[rank]))
     supports = Memo(lambda union: ratio_text(union, n))
-    pieces = ["antecedent,consequent,support,confidence\n"]
-    extend_joined(pieces, (
+    yield "antecedent,consequent,support,confidence\n"
+    yield from joined_pieces(
         f"{names[antecedent]},{names[consequent]},{supports[union]},"
         f"{ratio_text(union, antecedent_count)}\n"
         for antecedent, consequent, union, antecedent_count
-        in ruleset.decoded()))
+        in ruleset.decoded())
     if frequents is not None:
-        pieces.append("\nitemset,count,support\n")
-        extend_joined(pieces, (
+        yield "\nitemset,count,support\n"
+        yield from joined_pieces(
             f"{name(f.itemset)},{f.count},{supports[f.count]}\n"
-            for f in frequents))
-    return "".join(pieces)
+            for f in frequents)
+
+
+def rules_as_csv(ruleset: RuleSet, db: TransactionDb,
+                 frequents: Sequence[FrequentItemset] | None) -> str:
+    return concatenated(rule_csv_pieces(ruleset, db, frequents))
 
 
 def json_ratio(part: int, whole: int, indent: str) -> str:
@@ -363,23 +409,21 @@ def json_array(entries: Sequence[str], indent: str) -> str:
     return f"[\n{inner}" + f",\n{inner}".join(entries) + f"\n{indent}]"
 
 
-def extend_json_array(pieces: list[str], entries: Iterable[str],
-                      empty: bool) -> None:
-    """Append to ``pieces`` what ``json_array`` makes of ``entries`` at
-    nesting two spaces; ``empty`` says whether there are none."""
+def json_array_pieces(entries: Iterable[str], empty: bool) -> Iterator[str]:
+    """What ``json_array`` makes of ``entries`` at nesting two spaces;
+    ``empty`` says whether there are none."""
     if empty:
-        pieces.append("[]")
+        yield "[]"
         return
-    pieces.append("[\n    ")
-    extend_joined(pieces, entries, ",\n    ")
-    pieces.append("\n  ]")
+    yield "[\n    "
+    yield from joined_pieces(entries, ",\n    ")
+    yield "\n  ]"
 
 
-def rules_as_json(ruleset: RuleSet, db: TransactionDb, algorithm: str,
-                  frequents: Sequence[FrequentItemset] | None) -> str:
-    """The report exactly as ``json.dumps(payload, indent=2)`` writes it,
-    built as text so that each distinct label list and support is encoded
-    once."""
+def rule_json_pieces(ruleset: RuleSet, db: TransactionDb, algorithm: str,
+                     frequents: Sequence[FrequentItemset] | None
+                     ) -> Iterator[str]:
+    """The pieces of ``rules_as_json``."""
     import json
     labels = [json.dumps(label) for label in db.dictionary]
     n = ruleset.n_transactions
@@ -393,13 +437,13 @@ def rules_as_json(ruleset: RuleSet, db: TransactionDb, algorithm: str,
     supports = Memo(lambda union: json_ratio(union, n, deep))
     support = ruleset.params.min_support
     confidence = ruleset.params.min_confidence
-    pieces = [
+    yield (
         f'{{\n  "n_transactions": {n},\n  "params": {{\n    "min_support": '
         f'{json_ratio(support.numerator, support.denominator, "    ")},\n'
         f'    "min_confidence": '
         f'{json_ratio(confidence.numerator, confidence.denominator, "    ")},\n'
-        f'    "algorithm": {json.dumps(algorithm)}\n  }},\n  "rules": ']
-    extend_json_array(pieces, (
+        f'    "algorithm": {json.dumps(algorithm)}\n  }},\n  "rules": ')
+    yield from json_array_pieces((
         f'{{\n{deep}"antecedent": {names[antecedent]},\n'
         f'{deep}"consequent": {names[consequent]},\n'
         f'{deep}"support": {supports[union]},\n'
@@ -408,14 +452,21 @@ def rules_as_json(ruleset: RuleSet, db: TransactionDb, algorithm: str,
         for antecedent, consequent, union, antecedent_count
         in ruleset.decoded()), not ruleset.rows)
     if frequents is not None:
-        pieces.append(',\n  "itemsets": ')
-        extend_json_array(pieces, (
+        yield ',\n  "itemsets": '
+        yield from json_array_pieces((
             f'{{\n{deep}"items": {name(f.itemset)},\n'
             f'{deep}"count": {f.count},\n'
             f'{deep}"support": {supports[f.count]}\n    }}'
             for f in frequents), not frequents)
-    pieces.append("\n}\n")
-    return "".join(pieces)
+    yield "\n}\n"
+
+
+def rules_as_json(ruleset: RuleSet, db: TransactionDb, algorithm: str,
+                  frequents: Sequence[FrequentItemset] | None) -> str:
+    """The report exactly as ``json.dumps(payload, indent=2)`` writes it,
+    built as text so that each distinct label list and support is encoded
+    once."""
+    return concatenated(rule_json_pieces(ruleset, db, algorithm, frequents))
 
 
 # write_stdout encodes and writes this many characters at a time, so that

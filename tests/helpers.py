@@ -1,7 +1,7 @@
-"""Shared test utilities: direct db builders, the uncached reference
-parsers that ingest is checked and timed against, the reference that pair
-counting is checked against, each pair kernel on its own, and perfbench's
-independent miner."""
+"""Shared test utilities: direct db builders, the dense gate's database,
+the uncached reference parsers that ingest is checked and timed against,
+the reference that pair counting is checked against, each pair kernel on
+its own, and perfbench's independent miner."""
 
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from basketminer.core import (
     ItemDictionary,
     TransactionDb,
 )
+from basketminer.oracle import GeneratorConfig, generate_db
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -46,6 +47,19 @@ def random_db(rng: random.Random, max_items: int = 12,
         size = rng.randint(1, min(max_basket, n_items))
         transactions.append(tuple(sorted(rng.sample(range(n_items), size))))
     return db_from_ids(transactions, n_items)
+
+
+def dense_db() -> TransactionDb:
+    """The dense gate's database: 10,000 baskets over 100 items.
+
+    Eight overlapping 5-item patterns over item_1..item_60, labels apart
+    from the item_0001-style padding universe; itemsets reach size 8."""
+    patterns = tuple(
+        (tuple(f"item_{(3 * k + j) % 60 + 1}" for j in range(5)), 0.15)
+        for k in range(8))
+    return generate_db(GeneratorConfig(
+        num_transactions=10_000, universe_size=100, basket_size_range=(5, 15),
+        patterns=patterns, seed=3))
 
 
 def as_pairs(frequents) -> frozenset:

@@ -33,6 +33,7 @@ from helpers import (
     as_pairs,
     basket_reference,
     db_from_ids,
+    dense_db,
     forced_pair_counts,
     labelled_counts,
     random_db,
@@ -293,17 +294,6 @@ def test_criterion_6_generator_calibration():
     print(f"criterion 6 PASS: planted 0.5 pattern measured at {measured:.4f}")
 
 
-def dense_db():
-    # Eight overlapping 5-item patterns over item_1..item_60, labels apart
-    # from the item_0001-style padding universe; itemsets reach size 8.
-    patterns = tuple(
-        (tuple(f"item_{(3 * k + j) % 60 + 1}" for j in range(5)), 0.15)
-        for k in range(8))
-    return generate_db(GeneratorConfig(
-        num_transactions=10_000, universe_size=100, basket_size_range=(5, 15),
-        patterns=patterns, seed=3))
-
-
 def test_dense_data_engines_agree_within_time_bound():
     db = dense_db()
     params = MiningParams(Fraction(3, 100), 1)
@@ -351,7 +341,7 @@ def test_dense_rules_within_time_and_memory_bounds():
     finally:
         tracemalloc.stop()
     assert len(ruleset) == 29_502
-    assert peak < 6 * 2**20, f"rules and CSV peaked at {peak / 2**20:.1f} MiB"
+    assert peak < 4 * 2**20, f"rules and CSV peaked at {peak / 2**20:.1f} MiB"
     print(f"dense rules gate PASS: 154,168 rules and CSV in {elapsed:.2f}s; "
           f"29,502 rules and CSV peaked at {peak / 2**20:.1f} MiB")
 

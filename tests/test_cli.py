@@ -29,7 +29,7 @@ from basketminer.core import (
 )
 from basketminer.oracle import brute_force_mine
 from basketminer.rules import RuleSet, generate_rules
-from helpers import PERFBENCH, db_from_ids, load_perfbench
+from helpers import PERFBENCH, db_from_ids, dense_db, load_perfbench
 
 GOLDEN_TABLE = (
     "People who bought this item | Also bought the following items | Support | Confidence\n"
@@ -598,6 +598,17 @@ def batches_case():
     return db, frequents, ruleset
 
 
+@pytest.fixture(scope="module")
+def dense_cut():
+    """The dense rules gate's 29,502-rule cut and its frequent itemsets."""
+    db = dense_db()
+    params = MiningParams(Fraction(3, 100), Fraction(4, 5))
+    frequents = apriori_mine(db, params)
+    ruleset = generate_rules(frequents, db, params)
+    assert len(ruleset) == 29_502
+    return db, frequents, ruleset
+
+
 class TestRenderers:
     @pytest.mark.parametrize("size", [
         0, 1, cli.LINES_PER_BATCH - 1, cli.LINES_PER_BATCH,
@@ -613,6 +624,25 @@ class TestRenderers:
         assert len(cut) == size
         shown = frequents[:size] if show_itemsets else None
         assert render_all(cut, db, shown) == reference_all(cut, db, shown)
+
+    @pytest.mark.parametrize("output", ["table", "csv", "json"])
+    def test_render_peak_holds_the_report_once(self, dense_cut, output):
+        # The batches are appended to one string grown in place, so the
+        # report is never alive twice, as its batches and as their join
+        # (2.1-2.3 times its length when it was joined).
+        db, frequents, ruleset = dense_cut
+        render = getattr(cli, f"rules_as_{output}")
+        args = ((ruleset, db, "apriori", frequents) if output == "json"
+                else (ruleset, db, frequents))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            text = render(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * len(text), (
+            f"render peaked at {peak / len(text):.2f} times the report")
 
     @pytest.mark.parametrize("show_itemsets", [False, True])
     def test_csv_quotes_labels_as_csv_writer_does(self, capsys, tmp_path,
@@ -935,6 +965,31 @@ class TestEntryPoint:
         assert proc.stderr.startswith("error: cannot write standard output: ")
         assert "'ascii' codec can't encode" in proc.stderr
         assert proc.stderr.count("\n") == 1
+
+
+class TestConcatenated:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.text(st.sampled_from("ab\né€\U0001f600"))
+                    | st.text()))
+    def test_equals_join(self, pieces):
+        # Empty pieces, and non-ASCII ones that widen the string's kind
+        # while it grows, included.
+        assert cli.concatenated(iter(pieces)) == "".join(pieces)
+
+    def test_linear_under_a_trace_function(self):
+        # A trace function makes CPython copy the string on each append.
+        # Appended one by one instead, these pieces took over 50 s on 3.11.
+        pieces = ["x" * 256] * 65_536
+        previous = sys.gettrace()
+        sys.settrace(lambda *args: None)
+        try:
+            started = perf_counter()
+            text = cli.concatenated(pieces)
+            elapsed = perf_counter() - started
+        finally:
+            sys.settrace(previous)
+        assert len(text) == 256 * 65_536
+        assert elapsed < 10, f"took {elapsed:.1f}s under a trace function"
 
 
 class TestWriteStdout:
