@@ -2,15 +2,20 @@
 
 ``mine`` renders a ``RuleSet``'s decoded rows itself: the table prints
 whole percents (a half rounded up), CSV and JSON print exact ratios in
-lowest terms, and JSON adds the nearest float. Each renderer returns the
-whole report as one string. A generator makes it ``LINES_PER_BATCH``
-lines at a time, so that one batch of line strings is alive at once, and
-``concatenated`` appends each batch to one string, which CPython grows in
-place, instead of joining them, so that the report is held once. Under a
-trace function CPython copies the string on each append instead, so the
-batches are gathered until they exceed 1/32 of the text and the copying
-stays linear. The table takes its column widths first, in a pass that
+lowest terms, and JSON adds the nearest float. A generator per format
+(``rule_table_pieces``, ``rule_csv_pieces``, ``rule_json_pieces``) makes
+the report ``LINES_PER_BATCH`` lines at a time, so that one batch of line
+strings is alive at once, and ``mine`` hands its pieces to
+``write_stdout``, which writes them in slices as they come: the report is
+never held whole. The table takes its column widths first, in a pass that
 keeps no text.
+
+For library callers, ``rules_as_table``, ``rules_as_csv`` and
+``rules_as_json`` return the whole report as one string. ``concatenated``
+appends each batch to one string, which CPython grows in place, instead of
+joining them, so that the report is held once. Under a trace function
+CPython copies the string on each append instead, so the batches are
+gathered until they exceed 1/32 of the text and the copying stays linear.
 
 Exit codes: 0 success, 2 bad flags or config, 3 unreadable input or
 unwritable output (a closed standard output, or one whose encoding lacks
@@ -474,16 +479,22 @@ def rules_as_json(ruleset: RuleSet, db: TransactionDb, algorithm: str,
 _WRITE_CHUNK = 1 << 16
 
 
-def write_stdout(text: str) -> None:
-    """Write ``text`` to standard output and flush it.
+def write_stdout(pieces: Iterable[str]) -> None:
+    """Write the text that ``pieces`` make up to standard output and flush
+    it.
 
-    Each slice of ``_WRITE_CHUNK`` characters is encoded with the stream's
+    The pieces are gathered until they hold ``_WRITE_CHUNK`` characters or
+    more; each whole slice of ``_WRITE_CHUNK`` characters is then written
+    and the rest carried to the next, so that the slices fall at the same
+    offsets however the text is cut into pieces, and only the last is
+    short. Gathering also keeps a small piece, such as a CSV header, from
+    being a ``write`` of its own. Each slice is encoded with the stream's
     encoding and error handler and written to its binary buffer until
     every byte is taken. Unbuffered (``PYTHONUNBUFFERED`` or ``-u``), that
     buffer is the raw file, whose write may take only part of a slice, as
     when a pipe's reader leaves mid-write; the text layer would drop the
     rest unreported. A stream with no binary buffer, such as an
-    ``io.StringIO``, is written as text.
+    ``io.StringIO``, is handed the slices as text.
 
     A failed write, such as to a pipe whose reader has gone or of a
     character the stream's encoding lacks, raises ``IngestionError``; the
@@ -495,15 +506,29 @@ def write_stdout(text: str) -> None:
     binary = getattr(stream, "buffer", None)
     try:
         if binary is None:
-            stream.write(text)
+            write = stream.write
         else:
             stream.flush()
             encoding, errors = stream.encoding, stream.errors
-            for start in range(0, len(text), _WRITE_CHUNK):
-                data = memoryview(text[start:start + _WRITE_CHUNK]
-                                  .encode(encoding, errors))
+
+            def write(text: str) -> None:
+                data = memoryview(text.encode(encoding, errors))
                 while data:
                     data = data[binary.write(data):]
+        gathered: list[str] = []
+        size = 0
+        for piece in pieces:
+            gathered.append(piece)
+            size += len(piece)
+            if size >= _WRITE_CHUNK:
+                text = "".join(gathered)
+                end = size - size % _WRITE_CHUNK
+                for start in range(0, end, _WRITE_CHUNK):
+                    write(text[start:start + _WRITE_CHUNK])
+                gathered = [text[end:]]
+                size -= end
+        if size:
+            write("".join(gathered))
         stream.flush()
     except (OSError, UnicodeEncodeError) as exc:
         devnull = os.open(os.devnull, os.O_WRONLY)
@@ -522,12 +547,12 @@ def cmd_mine(args: argparse.Namespace) -> int:
                              max_antecedent=args.max_antecedent)
     shown = frequents if args.show_itemsets else None
     if args.output == "json":
-        text = rules_as_json(ruleset, db, args.algorithm, shown)
+        pieces = rule_json_pieces(ruleset, db, args.algorithm, shown)
     elif args.output == "csv":
-        text = rules_as_csv(ruleset, db, shown)
+        pieces = rule_csv_pieces(ruleset, db, shown)
     else:
-        text = rules_as_table(ruleset, db, shown)
-    write_stdout(text)
+        pieces = rule_table_pieces(ruleset, db, shown)
+    write_stdout(pieces)
     return EXIT_OK
 
 
@@ -545,7 +570,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     db = generate_db(config)
     text = to_basket_text(db)
     if args.output == "-":
-        write_stdout(text)
+        write_stdout((text,))
     else:
         try:
             with open(args.output, "w", encoding="utf-8") as handle:

@@ -8,7 +8,6 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
-from statistics import median
 from time import perf_counter
 
 import pytest
@@ -372,20 +371,23 @@ def test_dense_rules_retain_only_their_ruleset():
 
 def load_within_bounds(path, file_format, repeat):
     """``cli.load_db`` on ``path``: the db, the best wall time of ``repeat``
-    loads, the median ratio of each load's time to that of the uncached
-    reference parser over the file's ``read_text().splitlines()`` run just
-    after it, and the tracemalloc peak of one more load.
+    loads, the ratio of that best time to the best time of the uncached
+    reference parser over the file's ``read_text().splitlines()``, each
+    reference run just after a load, and the tracemalloc peak of one more
+    load.
 
-    Host speed drifts from second to second, and a load and its reference
-    run within a few seconds of each other, so their ratio holds on a slow
-    host and on a fast one alike."""
+    Host speed drifts from second to second, and the loads and reference
+    runs are interleaved, so their ratio holds on a slow host and on a fast
+    one alike. Each best time is the run that the rest of the host
+    disturbed least, so a busy second that slows one load or one reference
+    run does not move the ratio."""
     def reference():
         lines = path.read_text(encoding="utf-8").splitlines()
         if file_format == "tidpairs":
             return tid_pairs_reference(lines, False)
         return basket_reference(lines)
 
-    times, ratios = [], []
+    times, reference_times = [], []
     for _ in range(repeat):
         gc.collect()
         started = perf_counter()
@@ -395,7 +397,7 @@ def load_within_bounds(path, file_format, repeat):
         gc.collect()
         started = perf_counter()
         transactions, dictionary = reference()
-        ratios.append(times[-1] / (perf_counter() - started))
+        reference_times.append(perf_counter() - started)
     gc.collect()
     tracemalloc.start()
     try:
@@ -405,7 +407,7 @@ def load_within_bounds(path, file_format, repeat):
         tracemalloc.stop()
     assert list(db.transactions) == transactions
     assert list(db.dictionary) == list(dictionary)
-    return db, min(times), median(ratios), peak
+    return db, min(times), min(times) / min(reference_times), peak
 
 
 def test_hostile_wide_basket_within_bounds(tmp_path):
