@@ -26,7 +26,7 @@ _MODULES = {
              "IngestionError", "InternalConsistencyError", "ItemDictionary",
              "ItemSet", "MiningError", "MiningParams", "TransactionDb",
              "filter_min_items", "ingest_basket", "ingest_tid_pairs",
-             "support_count", "to_basket_text"),
+             "to_basket_text"),
     "fpgrowth": ("FpTree", "build_fp_tree", "fp_growth_mine"),
     "oracle": ("GeneratorConfig", "brute_force_mine", "generate_db"),
     "rules": ("RuleSet", "generate_rules"),

@@ -19,7 +19,11 @@ file is never held whole. Both parsers keep a dict from each raw field to
 its item id in front of ``ItemDictionary.intern``, so only a field not seen
 before is trimmed and interned, and they build the ``TransactionDb``
 through a constructor that skips the validation their own canonical
-output cannot fail.
+output cannot fail. Tid-pairs ingest keeps one dict from each trimmed tid
+to its items, in transaction order; in input grouped by tid, each tid
+holds its sorted tuple as soon as its run of rows ends, and a tid that
+returns after its run, or a one-row run, holds a list until the end of
+the input.
 
 All thresholds and scores are exact rationals (``fractions.Fraction``),
 never floats, so results are bit-reproducible across engines and runs.
@@ -330,22 +334,6 @@ class AssociationRule(Frozen):
         return Fraction(self.union_count, self.antecedent_count)
 
 
-def support_count(db: TransactionDb, ids: Iterable[int]) -> int:
-    """Exact number of transactions containing every id in ``ids``.
-
-    The empty itemset is contained in every transaction, so its count is N.
-    Raises DomainError for ids absent from the dictionary.
-    """
-    needed = frozenset(ids)
-    n_items = len(db.dictionary)
-    for i in needed:
-        if not 0 <= i < n_items:
-            raise DomainError(f"unknown item id: {i}")
-    if not needed:
-        return db.n
-    return sum(1 for t in db.transactions if needed.issubset(t))
-
-
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _LINE_BREAK = re.compile(f"[{_LINE_BREAKS}]")
 _CHUNK = 1 << 16  # bytes asked of the stream per read
@@ -469,31 +457,40 @@ def ingest_basket(lines: Iterable[str]) -> TransactionDb:
 def ingest_tid_pairs(lines: Iterable[str], skip_header: bool = False) -> TransactionDb:
     """Parse ``tid,item_label`` CSV rows into a TransactionDb.
 
-    Rows are grouped by tid (which need not be contiguous or numeric);
-    transaction order follows the first appearance of each tid. Duplicate
-    (tid, item) rows collapse to a single membership.
+    Rows are grouped by trimmed tid (which need not be contiguous or
+    numeric); transaction order follows the first appearance of each tid.
+    Duplicate (tid, item) rows collapse to a single membership.
 
-    One dict maps each raw tid field and each trimmed tid to that tid's
-    list of item ids, one slot per row; a padded field never equals a
-    trimmed tid, so the two kinds of key cannot clash. The dict is freed
-    before the lists become sorted tuples, each list in place, so the
-    grouping is never held twice.
+    One dict maps each trimmed tid to its items, in first-appearance order.
+    A row is checked and trimmed unless its raw tid field equals the last
+    checked row's or is a trimmed tid that holds a list: such a field is
+    an accepted row's tid, so the row is no comment, and its item is
+    appended to that list.
+
+    A new tid's first run of rows collects its items in a list. The next
+    checked row of another tid turns a first run of two or more rows into
+    its sorted tuple, so in contiguous input no tid holds a list once its
+    rows are read. A one-row first run keeps its list, and a later row of
+    a tid that holds a tuple turns it back into a list; such lists take
+    appends only, so tids that alternate row by row cost an append a row.
+    Every list left after the last row becomes its sorted tuple.
     """
     dictionary = ItemDictionary()
     ids: dict[str, int] = {}
-    by_tid: dict[str, list[int]] = {}  # raw or trimmed tid -> its item ids
-    groups: list[list[int]] = []  # the same lists, by first appearance
+    by_tid: dict[str, list[int] | ItemSet] = {}  # trimmed tid -> its items
+    field = tid = None  # the raw and trimmed tid of the last checked row
+    run: list[int] = []  # that tid's list
+    first = False  # whether ``run`` is its tid's first run
     for line_number, raw in enumerate(lines, start=1):
         parts = raw.split(",")
         if len(parts) == 2:
-            group = by_tid.get(parts[0])
-            if group is not None:
-                # This field is the raw or trimmed tid of an accepted row,
-                # so this row is no comment and its tid is valid.
+            items = run if parts[0] == field else by_tid.get(parts[0])
+            # The field is an accepted row's tid, so this row is no comment.
+            if type(items) is list:
                 try:
-                    group.append(ids[parts[1]])
+                    items.append(ids[parts[1]])
                 except KeyError:
-                    group.append(_item_id(parts[1], ids, dictionary, line_number))
+                    items.append(_item_id(parts[1], ids, dictionary, line_number))
                 continue
         if skip_header and line_number == 1:
             continue
@@ -503,22 +500,30 @@ def ingest_tid_pairs(lines: Iterable[str], skip_header: bool = False) -> Transac
             raise IngestionError(
                 f"expected exactly 2 fields 'tid,item_label', got {len(parts)}",
                 line_number)
-        tid = parts[0].strip()
-        if not tid:
+        name = parts[0].strip()
+        if not name:
             raise IngestionError("empty transaction id", line_number)
         item = _item_id(parts[1], ids, dictionary, line_number)
-        group = by_tid.get(tid)
-        if group is None:
-            group = by_tid[tid] = []
-            groups.append(group)
-        by_tid[parts[0]] = group
-        group.append(item)
-    if not groups:
+        if name != tid:
+            if first and len(run) > 1:
+                by_tid[tid] = tuple(sorted(set(run)))
+            tid = name
+            items = by_tid.get(tid)
+            first = items is None
+            if first:
+                run = by_tid[tid] = []
+            elif type(items) is tuple:
+                run = by_tid[tid] = list(items)
+            else:
+                run = items
+        field = parts[0]
+        run.append(item)
+    if not by_tid:
         raise EmptyInputError("input contains no transactions")
-    del by_tid
-    for k, group in enumerate(groups):
-        groups[k] = tuple(sorted(set(group)))
-    return TransactionDb._trusted(tuple(groups), dictionary)
+    for tid, items in by_tid.items():
+        if type(items) is list:
+            by_tid[tid] = tuple(sorted(set(items)))
+    return TransactionDb._trusted(tuple(by_tid.values()), dictionary)
 
 
 def to_basket_text(db: TransactionDb) -> str:

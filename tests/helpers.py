@@ -1,5 +1,6 @@
-"""Shared test utilities: direct db builders, the dense gate's database,
-the uncached reference parsers that ingest is checked and timed against,
+"""Shared test utilities: direct db builders, the support count that the
+engines are checked against, the dense gate's database, the uncached
+reference parsers that ingest is checked and timed against,
 the reference that pair counting is checked against, each pair kernel on
 its own, and perfbench's independent miner."""
 
@@ -15,6 +16,7 @@ from typing import Iterable, Sequence
 
 from basketminer import pairs
 from basketminer.core import (
+    DomainError,
     EmptyInputError,
     IngestionError,
     ItemDictionary,
@@ -35,6 +37,23 @@ def db_from_ids(transactions: Iterable[Sequence[int]], n_items: int) -> Transact
         dictionary.intern(f"i{k}")
     canonical = tuple(tuple(sorted(set(t))) for t in transactions)
     return TransactionDb(canonical, dictionary)
+
+
+def support_count(db: TransactionDb, ids: Iterable[int]) -> int:
+    """Exact number of transactions containing every id in ``ids``: the
+    independent count the engines are checked against.
+
+    The empty itemset is contained in every transaction, so its count is N.
+    Raises DomainError for ids absent from the dictionary.
+    """
+    needed = frozenset(ids)
+    n_items = len(db.dictionary)
+    for i in needed:
+        if not 0 <= i < n_items:
+            raise DomainError(f"unknown item id: {i}")
+    if not needed:
+        return db.n
+    return sum(1 for t in db.transactions if needed.issubset(t))
 
 
 def random_db(rng: random.Random, max_items: int = 12,

@@ -20,7 +20,6 @@ from basketminer.core import (
     MiningParams,
     ingest_basket,
     read_lines,
-    support_count,
     to_basket_text,
 )
 from basketminer.fpgrowth import build_fp_tree, fp_growth_mine
@@ -37,6 +36,7 @@ from helpers import (
     labelled_counts,
     random_db,
     reference_itemsets,
+    support_count,
     tid_pairs_reference,
 )
 
@@ -437,23 +437,58 @@ def test_hostile_single_tid_within_bounds(tmp_path):
           f"{peak / 2**20:.1f} MiB")
 
 
-def test_many_tids_ingest_within_memory_bound(tmp_path):
-    # 20,000 tids of 10 rows each over 1000 labels, then 1000 of them again
-    # with their fields padded and 1000 more as they were: the shape of the
-    # quest benchmark input. The tid map holds 21,000 keys. The peak read
-    # 5.7-6.2 MiB on Python 3.10-3.13, and 7.8-8.4 MiB when a second dict
-    # held the grouping and the transactions were built while every group
-    # list was alive.
+def many_tid_rows():
+    """20,000 tids of 10 rows each over 1000 labels, then 1000 of them again
+    with their fields padded and 1000 more as they were: the shape of the
+    quest benchmark input. The tid map holds 20,000 keys."""
     rows = [f"{t},item{(t * 7 + j * 13) % 1000}"
             for t in range(20_000) for j in range(10)]
     rows += [f" {t} ,item{t % 1000} " for t in range(0, 20_000, 20)]
     rows += [f"{t},item{t % 999}" for t in range(5, 20_000, 20)]
+    return rows
+
+
+def test_many_tids_ingest_within_memory_bound(tmp_path):
+    # The peak read 4.6 MiB on Python 3.11, with each contiguous tid's
+    # rows a sorted tuple once its run ends. It read 6.0 MiB when every
+    # tid kept a list with one slot per row until the end of the file, and
+    # 7.8-8.4 MiB when a second dict held the grouping as well.
     path = tmp_path / "many-tids.csv"
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    path.write_text("\n".join(many_tid_rows()) + "\n", encoding="utf-8")
     db, elapsed, _, peak = load_within_bounds(path, "tidpairs", 1)
     assert db.n == 20_000 and len(db.dictionary) == 1000
-    assert peak < 7 * 2**20, f"ingest peaked at {peak / 2**20:.1f} MiB"
+    assert peak < 5 * 2**20, f"ingest peaked at {peak / 2**20:.1f} MiB"
     print(f"many tids gate PASS: {elapsed:.3f}s, {peak / 2**20:.1f} MiB")
+
+
+def test_many_tids_sorted_by_label_within_bounds(tmp_path):
+    # The same rows sorted by label, as an export ordered by item writes
+    # them: no tid's rows are contiguous, so each first run is one row
+    # long and almost every row returns to a tid seen before. A tid closed
+    # and reopened row by row would cost a tuple and a list copy a row.
+    rows = sorted(many_tid_rows(), key=lambda row: row.split(",")[1].strip())
+    path = tmp_path / "many-tids-by-label.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    db, elapsed, ratio, peak = load_within_bounds(path, "tidpairs", 5)
+    assert db.n == 20_000 and len(db.dictionary) == 1000
+    assert ratio < 1.0, f"ingest took {elapsed:.3f}s, {ratio:.2f} of reference"
+    assert peak < 7 * 2**20, f"ingest peaked at {peak / 2**20:.1f} MiB"
+    print(f"tids by label gate PASS: {elapsed:.3f}s, {ratio:.2f} of "
+          f"reference, {peak / 2**20:.1f} MiB")
+
+
+def test_alternating_tids_within_time_bound(tmp_path):
+    # 200,000 rows that alternate between two tids: every row returns to
+    # the other tid, so a return that copies its tid's items would take
+    # time quadratic in the rows.
+    path = tmp_path / "alternating.csv"
+    path.write_text("".join(f"{k % 2},item{k % 1000}\n"
+                            for k in range(200_000)), encoding="utf-8")
+    db, elapsed, ratio, _ = load_within_bounds(path, "tidpairs", 5)
+    assert db.transactions == (tuple(range(0, 1000, 2)), tuple(range(1, 1000, 2)))
+    assert ratio < 1.5, f"ingest took {elapsed:.3f}s, {ratio:.2f} of reference"
+    print(f"alternating tids gate PASS: {elapsed:.3f}s, {ratio:.2f} of "
+          f"reference")
 
 
 def test_hostile_long_line_reads_in_linear_time():

@@ -21,7 +21,6 @@ from basketminer.core import (
     ItemDictionary,
     MiningParams,
     TransactionDb,
-    support_count,
 )
 from basketminer.oracle import brute_force_mine
 from helpers import (
@@ -32,6 +31,7 @@ from helpers import (
     random_db,
     reference_itemsets,
     shaped_rows,
+    support_count,
     with_rare_tail,
 )
 

@@ -338,12 +338,12 @@ class TestSubcommands:
         for name in ("benchmark", "BenchmarkReport", "EngineRun",
                      "EngineDisagreementError", "Item", "itemset",
                      "to_basket_lines", "ContractViolationError", "percent",
-                     "format_percent"):
+                     "format_percent", "support_count"):
             assert name not in basketminer.__all__
             assert not hasattr(basketminer, name)
 
     def test_every_exported_name_resolves(self):
-        assert len(basketminer.__all__) == 28
+        assert len(basketminer.__all__) == 27
         namespace: dict = {}
         exec("from basketminer import *", namespace)
         for name in basketminer.__all__:

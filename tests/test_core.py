@@ -23,7 +23,6 @@ from basketminer.core import (
     ingest_basket,
     ingest_tid_pairs,
     read_lines,
-    support_count,
     to_basket_text,
 )
 from basketminer.oracle import GeneratorConfig
@@ -32,6 +31,7 @@ from helpers import (
     basket_reference,
     db_from_ids,
     random_db,
+    support_count,
     tid_pairs_reference,
 )
 
@@ -593,6 +593,65 @@ class TestIngestCaches:
     def test_tid_pairs_match_uncached_parse(self, lines, skip_header):
         assert outcome(ingest_tid_pairs, lines, skip_header) == \
             outcome(tid_pairs_reference, lines, skip_header)
+
+
+TID_FORMS = ("{}", " {}", "{} ", " {} ")  # a tid field, padded or not
+ITEM_FIELDS = ("a", " a", "b", "c ", "d", "e", "f")
+
+
+@st.composite
+def tid_rows(draw):
+    """20-80 valid rows over 2-5 tids, each tid field padded or not; the
+    rows interleaved at random, or grouped by tid in first-draw order."""
+    n_tids = draw(st.integers(2, 5))
+    rows = draw(st.lists(
+        st.tuples(st.integers(0, n_tids - 1), st.sampled_from(TID_FORMS),
+                  st.sampled_from(ITEM_FIELDS)),
+        min_size=20, max_size=80))
+    if draw(st.booleans()):
+        order = list(dict.fromkeys(tid for tid, _, _ in rows))
+        rows.sort(key=lambda row: order.index(row[0]))
+    return [f"{form.format(tid + 1)},{item}" for tid, form, item in rows]
+
+
+class TestTidRuns:
+    @pytest.mark.parametrize("lines, skip_header, transactions", [
+        (["1,a", "2,b", "2,c", "1,d"], False, ((0, 3), (1, 2))),
+        (["1,x", "1,y", "2,x", " 1 ,z", "1,x", "2,y"], False,
+         ((0, 1, 2), (0, 1))),
+        (["1,a", "", "# note", "  #1,b", "1,b", "2,c", "1,c"], False,
+         ((0, 1, 2), (2,))),
+        (["tid,item", "1,a", "tid,b", "1,c", "tid,item"], True,
+         ((0, 2), (1, 3))),
+    ], ids=["one-row-first-run-returns", "closed-run-returns-padded",
+            "blank-and-comment-inside-run", "header-text-returns-as-tid"])
+    def test_run_boundaries_match_reference(self, lines, skip_header,
+                                            transactions):
+        assert outcome(ingest_tid_pairs, lines, skip_header) == \
+            outcome(tid_pairs_reference, lines, skip_header)
+        db = ingest_tid_pairs(lines, skip_header)
+        assert db.transactions == transactions
+
+    @pytest.mark.parametrize("bad, message", [
+        ("1,a,b", "expected exactly 2 fields"),
+        ("1,", "empty item label"),
+        (" 1 , ", "empty item label"),
+        (" ,a", "empty transaction id"),
+    ])
+    def test_error_inside_a_run_names_its_line(self, bad, message):
+        lines = ["2,a", "1,a", "1,b", bad, "1,c"]
+        with pytest.raises(IngestionError) as exc_info:
+            ingest_tid_pairs(lines)
+        assert exc_info.value.line_number == 4
+        assert str(exc_info.value).startswith(f"line 4: {message}")
+        assert outcome(ingest_tid_pairs, lines) == \
+            outcome(tid_pairs_reference, lines, False)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=tid_rows())
+    def test_long_valid_rows_match_reference(self, lines):
+        assert outcome(ingest_tid_pairs, lines) == \
+            outcome(tid_pairs_reference, lines, False)
 
 
 class TestTrustedConstruction:

@@ -14,7 +14,6 @@ from basketminer.core import (
     ItemDictionary,
     MiningParams,
     TransactionDb,
-    support_count,
 )
 from basketminer.fpgrowth import (
     FpTree,
@@ -25,7 +24,7 @@ from basketminer.fpgrowth import (
     fp_growth_mine,
     mine,
 )
-from helpers import as_pairs, db_from_ids, random_db
+from helpers import as_pairs, db_from_ids, random_db, support_count
 
 
 def dict_insertion_tree(rows: Iterable[WeightedRow], threshold: int) -> FpTree:

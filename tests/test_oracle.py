@@ -11,7 +11,6 @@ from basketminer.core import (
     ItemDictionary,
     MiningParams,
     TransactionDb,
-    support_count,
     to_basket_text,
 )
 from basketminer.oracle import (
@@ -21,7 +20,7 @@ from basketminer.oracle import (
     generate_db,
     item_label,
 )
-from helpers import db_from_ids
+from helpers import db_from_ids, support_count
 
 # Pins the documented RNG contract: stdlib Mersenne Twister, consuming
 # only Random.random(), whose stream is stable across Python versions.
