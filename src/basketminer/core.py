@@ -19,11 +19,13 @@ file is never held whole. Both parsers keep a dict from each raw field to
 its item id in front of ``ItemDictionary.intern``, so only a field not seen
 before is trimmed and interned, and they build the ``TransactionDb``
 through a constructor that skips the validation their own canonical
-output cannot fail. Tid-pairs ingest keeps one dict from each trimmed tid
-to its items, in transaction order; in input grouped by tid, each tid
-holds its sorted tuple as soon as its run of rows ends, and a tid that
-returns after its run, or a one-row run, holds a list until the end of
-the input.
+output cannot fail. While each new trimmed tid sorts after the one
+before it, as in a point-of-sale export listed by ascending receipt id,
+tid-pairs ingest keeps no tid map: each tid's rows close into its sorted
+tuple as its run ends, and the tids are kept as newline-joined text. The
+first tid out of that order rebuilds the map, one dict from each trimmed
+tid to its items, in transaction order; on the map a tid that returns
+after its run, or a one-row run, holds a list until the end of the input.
 
 All thresholds and scores are exact rationals (``fractions.Fraction``),
 never floats, so results are bit-reproducible across engines and runs.
@@ -454,6 +456,9 @@ def ingest_basket(lines: Iterable[str]) -> TransactionDb:
     return TransactionDb._trusted(tuple(transactions), dictionary)
 
 
+_BLOCK = 1024  # tids joined into one text block while tids ascend
+
+
 def ingest_tid_pairs(lines: Iterable[str], skip_header: bool = False) -> TransactionDb:
     """Parse ``tid,item_label`` CSV rows into a TransactionDb.
 
@@ -461,26 +466,38 @@ def ingest_tid_pairs(lines: Iterable[str], skip_header: bool = False) -> Transac
     numeric); transaction order follows the first appearance of each tid.
     Duplicate (tid, item) rows collapse to a single membership.
 
-    One dict maps each trimmed tid to its items, in first-appearance order.
     A row is checked and trimmed unless its raw tid field equals the last
     checked row's or is a trimmed tid that holds a list: such a field is
     an accepted row's tid, so the row is no comment, and its item is
     appended to that list.
 
-    A new tid's first run of rows collects its items in a list. The next
-    checked row of another tid turns a first run of two or more rows into
-    its sorted tuple, so in contiguous input no tid holds a list once its
-    rows are read. A one-row first run keeps its list, and a later row of
-    a tid that holds a tuple turns it back into a list; such lists take
-    appends only, so tids that alternate row by row cost an append a row.
-    Every list left after the last row becomes its sorted tuple.
+    While each new trimmed tid sorts after the one before it in (length,
+    text) order, so "9" before "10", no tid can return and no tid map is
+    kept: each run of rows closes into its sorted tuple when the next tid
+    starts, the tuples go into one list, and the tids are kept only as
+    newline-joined text, ``_BLOCK`` tids a block. The first tid that does
+    not sort after its predecessor, or that holds a line break, rebuilds
+    the map from that text, block by block, and the rest of the input
+    runs on the map.
+
+    The map takes each trimmed tid to its items, in first-appearance
+    order. A new tid's first run of rows collects its items in a list. The
+    next checked row of another tid turns a first run of two or more rows
+    into its sorted tuple. A one-row first run keeps its list, and a later
+    row of a tid that holds a tuple turns it back into a list; such lists
+    take appends only, so tids that alternate row by row cost an append a
+    row. Every list left after the last row becomes its sorted tuple.
     """
     dictionary = ItemDictionary()
     ids: dict[str, int] = {}
     by_tid: dict[str, list[int] | ItemSet] = {}  # trimmed tid -> its items
-    field = tid = None  # the raw and trimmed tid of the last checked row
+    closed: list[ItemSet] | None = []  # transactions while tids ascend
+    blocks: list[str] = []  # their tids, newline-joined, _BLOCK a block
+    pending: list[str] = []  # the tids of the block being filled
+    field = None  # the raw tid field of the last checked row
+    tid = ""  # its trimmed tid, "" before the first, which sorts before all
     run: list[int] = []  # that tid's list
-    first = False  # whether ``run`` is its tid's first run
+    first = False  # whether ``run`` is its tid's first run in the map
     for line_number, raw in enumerate(lines, start=1):
         parts = raw.split(",")
         if len(parts) == 2:
@@ -505,8 +522,23 @@ def ingest_tid_pairs(lines: Iterable[str], skip_header: bool = False) -> Transac
             raise IngestionError("empty transaction id", line_number)
         item = _item_id(parts[1], ids, dictionary, line_number)
         if name != tid:
-            if first and len(run) > 1:
-                by_tid[tid] = tuple(sorted(set(run)))
+            if closed is None:
+                if first and len(run) > 1:
+                    by_tid[tid] = tuple(sorted(set(run)))
+            else:
+                if run:
+                    closed.append(tuple(sorted(set(run))))
+                    pending.append(tid)
+                    if len(pending) == _BLOCK:
+                        blocks.append("\n".join(pending))
+                        pending = []
+                if "\n" not in name and (len(tid), tid) < (len(name), name):
+                    tid = name
+                    field = parts[0]
+                    run = [item]
+                    continue
+                by_tid = _tid_map(closed, blocks, pending)
+                closed = None
             tid = name
             items = by_tid.get(tid)
             first = items is None
@@ -518,12 +550,30 @@ def ingest_tid_pairs(lines: Iterable[str], skip_header: bool = False) -> Transac
                 run = items
         field = parts[0]
         run.append(item)
-    if not by_tid:
-        raise EmptyInputError("input contains no transactions")
+    if closed is not None:
+        if not run:
+            raise EmptyInputError("input contains no transactions")
+        closed.append(tuple(sorted(set(run))))
+        return TransactionDb._trusted(tuple(closed), dictionary)
     for tid, items in by_tid.items():
         if type(items) is list:
             by_tid[tid] = tuple(sorted(set(items)))
     return TransactionDb._trusted(tuple(by_tid.values()), dictionary)
+
+
+def _tid_map(transactions: list[ItemSet], blocks: list[str],
+             pending: list[str]) -> dict[str, list[int] | ItemSet]:
+    """Each tid of ``blocks``, then of ``pending``, mapped to its
+    transaction, the tids in the order of ``transactions``. Both lists are
+    emptied, each block freed once its tids are in the map."""
+    by_tid: dict[str, list[int] | ItemSet] = {}
+    ordered = iter(transactions)
+    blocks.reverse()
+    while blocks:
+        by_tid.update(zip(blocks.pop().split("\n"), ordered))
+    by_tid.update(zip(pending, ordered))
+    pending.clear()
+    return by_tid
 
 
 def to_basket_text(db: TransactionDb) -> str:

@@ -19,6 +19,7 @@ from basketminer.core import (
     ItemDictionary,
     MiningParams,
     TransactionDb,
+    _BLOCK,
     filter_min_items,
     ingest_basket,
     ingest_tid_pairs,
@@ -650,6 +651,76 @@ class TestTidRuns:
     @settings(max_examples=300, deadline=None)
     @given(lines=tid_rows())
     def test_long_valid_rows_match_reference(self, lines):
+        assert outcome(ingest_tid_pairs, lines) == \
+            outcome(tid_pairs_reference, lines, False)
+
+
+# Ascending tid texts: plain ids sort by (length, text) as numbers do,
+# zero-padded ids as text; ids in text order ("1", "10", "100", "11")
+# descend in (length, text) order at "11".
+TID_STYLES = {
+    "plain": lambda n: [str(t) for t in range(1, n + 1)],
+    "zero-padded": lambda n: [f"{t:05}" for t in range(1, n + 1)],
+    "text-sorted": lambda n: sorted(str(t) for t in range(1, n + 1)),
+}
+
+
+@st.composite
+def ascending_rows(draw):
+    """Rows grouped by tid, 1-3 rows a tid, the tids in one of
+    ``TID_STYLES``; as many tids as a block holds, one fewer or one more,
+    or 1-40; maybe a row of any of those tids, padded or not, inserted at a
+    random row, and maybe a ``tid,item`` header line first."""
+    n_tids = draw(st.one_of(st.integers(1, 40),
+                            st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 1])))
+    tids = TID_STYLES[draw(st.sampled_from(sorted(TID_STYLES)))](n_tids)
+    sizes = draw(st.lists(st.integers(1, 3), min_size=n_tids,
+                          max_size=n_tids))
+    rows = [f"{tid},{ITEM_FIELDS[(k + j) % len(ITEM_FIELDS)]}"
+            for k, (tid, size) in enumerate(zip(tids, sizes))
+            for j in range(size)]
+    if draw(st.booleans()):
+        tid = draw(st.sampled_from(tids))
+        form = draw(st.sampled_from(TID_FORMS))
+        item = draw(st.sampled_from(ITEM_FIELDS))
+        rows.insert(draw(st.integers(0, len(rows))),
+                    f"{form.format(tid)},{item}")
+    if draw(st.booleans()):
+        rows.insert(0, "tid,item")
+    return rows
+
+
+class TestAscendingTids:
+    @settings(max_examples=200, deadline=None)
+    @given(lines=ascending_rows())
+    def test_ascending_rows_match_reference(self, lines):
+        assert outcome(ingest_tid_pairs, lines) == \
+            outcome(tid_pairs_reference, lines, False)
+
+    @pytest.mark.parametrize("n_tids", [_BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                        3 * _BLOCK + 1])
+    def test_return_after_a_block_boundary(self, n_tids):
+        # The map is rebuilt from full blocks, in order, and a pending block
+        # of 1023, 0 or 1 tids.
+        lines = [f"{t},item{t % 7}" for t in range(1, n_tids + 1)]
+        lines += ["1,item9", f"{n_tids},item9", f"{n_tids + 1},item9"]
+        assert outcome(ingest_tid_pairs, lines) == \
+            outcome(tid_pairs_reference, lines, False)
+        db = ingest_tid_pairs(lines)
+        assert db.n == n_tids + 1
+        assert db.transactions[0] == (0, len(db.dictionary) - 1)
+
+    @pytest.mark.parametrize("lines", [
+        ["1,a", "10,b", "100,c", "11,d", "1,e"],
+        ["0009,a", "0010,b", "0009,c"],
+        ["9,a", "10,b", "9,c"],
+        ["tid,item", "1,a", "2,b"],
+        ["0\n1,x", *[f"{t},y" for t in range(1000, 1000 + _BLOCK)],
+         "0\n1,z"],
+        ["2,a", "1,b", " 2 ,c", "1,d", " 2 ,e", "2,f"],
+    ], ids=["text-sorted", "zero-padded", "numeric", "unskipped-header",
+            "line-break-in-tid", "padded-after-rebuild"])
+    def test_named_breaks_match_reference(self, lines):
         assert outcome(ingest_tid_pairs, lines) == \
             outcome(tid_pairs_reference, lines, False)
 
