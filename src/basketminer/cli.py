@@ -4,17 +4,16 @@
 whole percents (a half rounded up), CSV and JSON print exact ratios in
 lowest terms, and JSON adds the nearest float. A generator per format
 (``rule_table_pieces``, ``rule_csv_pieces``, ``rule_json_pieces``) makes
-the report ``LINES_PER_BATCH`` lines at a time, so that one batch of line
-strings is alive at once, and ``mine`` hands its pieces to
-``write_stdout``, which writes them in slices as they come: the report is
-never held whole. The table takes its column widths first, in a pass that
-keeps no text.
+the report one piece per line (a JSON array entry with the separator in
+front of it), and ``mine`` hands its pieces to ``write_stdout``, which
+writes them in slices as they come: the report is never held whole. The
+table takes its column widths first, in a pass that keeps no text.
 
 For library callers, ``rules_as_table``, ``rules_as_csv`` and
 ``rules_as_json`` return the whole report as one string. ``concatenated``
-appends each batch to one string, which CPython grows in place, instead of
+appends the pieces to one string, which CPython grows in place, instead of
 joining them, so that the report is held once. Under a trace function
-CPython copies the string on each append instead, so the batches are
+CPython copies the string on each append instead, so the pieces are
 gathered until they exceed 1/32 of the text and the copying stays linear.
 
 Exit codes: 0 success, 2 bad flags or config, 3 unreadable input or
@@ -37,7 +36,6 @@ import os
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
-from itertools import islice
 
 from .apriori import apriori_mine
 from .core import (
@@ -254,11 +252,6 @@ class Memo(dict):
         return value
 
 
-# The renderers join report lines this many at a time, so that one batch
-# of line strings is alive at once rather than one string per rule.
-LINES_PER_BATCH = 512
-
-
 def concatenated(pieces: Iterable[str]) -> str:
     """``"".join(pieces)``, built by appending to one local string.
 
@@ -290,19 +283,6 @@ def concatenated(pieces: Iterable[str]) -> str:
     return text
 
 
-def joined_pieces(lines: Iterable[str],
-                  separator: str = "") -> Iterator[str]:
-    """``separator.join(lines)`` as one piece per ``LINES_PER_BATCH``
-    lines, with a ``separator`` piece between two."""
-    lines = iter(lines)
-    batch = list(islice(lines, LINES_PER_BATCH))
-    while batch:
-        yield separator.join(batch)
-        batch = list(islice(lines, LINES_PER_BATCH))
-        if batch:
-            yield separator
-
-
 def table_pieces(columns: Sequence[str], widths: Sequence[int],
                  rows: Iterable[Sequence[str]]) -> Iterator[str]:
     """The table of ``rows`` under ``columns``, each column as wide as its
@@ -312,7 +292,8 @@ def table_pieces(columns: Sequence[str], widths: Sequence[int],
     yield " | ".join(map(str.ljust, columns, widths)).rstrip()
     yield "\n" + "-+-".join("-" * width for width in widths)
     line = ("\n" + " | ".join(f"{{:<{width}}}" for width in widths)).format
-    yield from joined_pieces(line(*row).rstrip() for row in rows)
+    for row in rows:
+        yield line(*row).rstrip()
     yield "\n"
 
 
@@ -378,16 +359,13 @@ def rule_csv_pieces(ruleset: RuleSet, db: TransactionDb,
     names = Memo(lambda rank: name(itemsets[rank]))
     supports = Memo(lambda union: ratio_text(union, n))
     yield "antecedent,consequent,support,confidence\n"
-    yield from joined_pieces(
-        f"{names[antecedent]},{names[consequent]},{supports[union]},"
-        f"{ratio_text(union, antecedent_count)}\n"
-        for antecedent, consequent, union, antecedent_count
-        in ruleset.decoded())
+    for antecedent, consequent, union, antecedent_count in ruleset.decoded():
+        yield (f"{names[antecedent]},{names[consequent]},{supports[union]},"
+               f"{ratio_text(union, antecedent_count)}\n")
     if frequents is not None:
         yield "\nitemset,count,support\n"
-        yield from joined_pieces(
-            f"{name(f.itemset)},{f.count},{supports[f.count]}\n"
-            for f in frequents)
+        for f in frequents:
+            yield f"{name(f.itemset)},{f.count},{supports[f.count]}\n"
 
 
 def rules_as_csv(ruleset: RuleSet, db: TransactionDb,
@@ -405,24 +383,20 @@ def json_ratio(part: int, whole: int, indent: str) -> str:
             f'{indent}  "decimal": {part / whole!r}\n{indent}}}')
 
 
-def json_array(entries: Sequence[str], indent: str) -> str:
+def json_array(entries: Iterable[str], indent: str) -> Iterator[str]:
     """A JSON array of already-encoded ``entries``, laid out as
-    ``json.dumps(..., indent=2)`` lays it out at nesting ``indent``."""
-    if not entries:
-        return "[]"
-    inner = indent + "  "
-    return f"[\n{inner}" + f",\n{inner}".join(entries) + f"\n{indent}]"
-
-
-def json_array_pieces(entries: Iterable[str], empty: bool) -> Iterator[str]:
-    """What ``json_array`` makes of ``entries`` at nesting two spaces;
-    ``empty`` says whether there are none."""
-    if empty:
+    ``json.dumps(..., indent=2)`` lays it out at nesting ``indent``, one
+    piece per entry with the separator in front of it."""
+    entries = iter(entries)
+    first = next(entries, None)
+    if first is None:
         yield "[]"
         return
-    yield "[\n    "
-    yield from joined_pieces(entries, ",\n    ")
-    yield "\n  ]"
+    inner = indent + "  "
+    yield f"[\n{inner}" + first
+    for entry in entries:
+        yield f",\n{inner}" + entry
+    yield f"\n{indent}]"
 
 
 def rule_json_pieces(ruleset: RuleSet, db: TransactionDb, algorithm: str,
@@ -436,7 +410,7 @@ def rule_json_pieces(ruleset: RuleSet, db: TransactionDb, algorithm: str,
     deep = " " * 6
 
     def name(ids: tuple[int, ...]) -> str:
-        return json_array([labels[i] for i in ids], deep)
+        return "".join(json_array([labels[i] for i in ids], deep))
 
     names = Memo(lambda rank: name(itemsets[rank]))
     supports = Memo(lambda union: json_ratio(union, n, deep))
@@ -448,21 +422,21 @@ def rule_json_pieces(ruleset: RuleSet, db: TransactionDb, algorithm: str,
         f'    "min_confidence": '
         f'{json_ratio(confidence.numerator, confidence.denominator, "    ")},\n'
         f'    "algorithm": {json.dumps(algorithm)}\n  }},\n  "rules": ')
-    yield from json_array_pieces((
+    yield from json_array((
         f'{{\n{deep}"antecedent": {names[antecedent]},\n'
         f'{deep}"consequent": {names[consequent]},\n'
         f'{deep}"support": {supports[union]},\n'
         f'{deep}"confidence": '
         f'{json_ratio(union, antecedent_count, deep)}\n    }}'
         for antecedent, consequent, union, antecedent_count
-        in ruleset.decoded()), not ruleset.rows)
+        in ruleset.decoded()), "  ")
     if frequents is not None:
         yield ',\n  "itemsets": '
-        yield from json_array_pieces((
+        yield from json_array((
             f'{{\n{deep}"items": {name(f.itemset)},\n'
             f'{deep}"count": {f.count},\n'
             f'{deep}"support": {supports[f.count]}\n    }}'
-            for f in frequents), not frequents)
+            for f in frequents), "  ")
     yield "\n}\n"
 
 

@@ -449,10 +449,11 @@ def many_tid_rows():
 
 
 def test_many_tids_ingest_within_memory_bound(tmp_path):
-    # The peak read 4.6 MiB on Python 3.11, with each contiguous tid's
-    # rows a sorted tuple once its run ends. It read 6.0 MiB when every
-    # tid kept a list with one slot per row until the end of the file, and
-    # 7.8-8.4 MiB when a second dict held the grouping as well.
+    # The peak read 4.6 MiB on Python 3.11. The first 200,000 rows ascend,
+    # so each tid's rows close into a sorted tuple as the next tid starts,
+    # with no tid map kept; the first returning row rebuilds the map from
+    # those tuples. Runs closed while the map is kept are gated below, by
+    # the same tids in other orders.
     path = tmp_path / "many-tids.csv"
     path.write_text("\n".join(many_tid_rows()) + "\n", encoding="utf-8")
     db, elapsed, _, peak = load_within_bounds(path, "tidpairs", 1)
@@ -473,6 +474,29 @@ def test_grouped_ascending_tids_within_memory_bound(tmp_path):
     assert db.n == 20_000 and len(db.dictionary) == 1000
     assert peak < 4 * 2**20, f"ingest peaked at {peak / 2**20:.1f} MiB"
     print(f"ascending tids gate PASS: {elapsed:.3f}s, {peak / 2**20:.1f} MiB")
+
+
+@pytest.mark.parametrize("order", ["text", "descending"])
+def test_contiguous_unordered_tids_within_memory_bound(tmp_path, order):
+    # The many-tids rows without their 2,000 returning rows, each tid's
+    # rows still contiguous, but the tids in text order ("0", "1", "10",
+    # "100", ...) or descending: not in (length, text) order, so ingest
+    # keeps its tid map. The peak read 4.56 (text) and 4.57 MiB
+    # (descending) on Python 3.11 with each first run of two or more rows
+    # closed into its sorted tuple when the next tid starts, and 5.73 and
+    # 5.74 MiB with every first run a list until the end of the file.
+    rows = many_tid_rows()[:-2000]
+    if order == "text":
+        rows.sort(key=lambda row: row.split(",")[0])
+    else:
+        rows.sort(key=lambda row: int(row.split(",")[0]), reverse=True)
+    path = tmp_path / f"contiguous-tids-{order}.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    db, elapsed, _, peak = load_within_bounds(path, "tidpairs", 1)
+    assert db.n == 20_000 and len(db.dictionary) == 1000
+    assert peak < 5 * 2**20, f"ingest peaked at {peak / 2**20:.2f} MiB"
+    print(f"contiguous {order} tids gate PASS: {elapsed:.3f}s, "
+          f"{peak / 2**20:.2f} MiB")
 
 
 def test_many_tids_sorted_by_label_within_bounds(tmp_path):
