@@ -15,17 +15,22 @@ Two ingestion formats are supported:
 
 Ingestion takes any iterable of lines. ``read_lines`` streams them from a
 UTF-8 file in fixed-size chunks, split as ``str.splitlines`` splits, so a
-file is never held whole. Both parsers keep a dict from each raw field to
-its item id in front of ``ItemDictionary.intern``, so only a field not seen
-before is trimmed and interned, and they build the ``TransactionDb``
-through a constructor that skips the validation their own canonical
-output cannot fail. While each new trimmed tid sorts after the one
-before it, as in a point-of-sale export listed by ascending receipt id,
-tid-pairs ingest keeps no tid map: each tid's rows close into its sorted
-tuple as its run ends, and the tids are kept as newline-joined text. The
-first tid out of that order rebuilds the map, one dict from each trimmed
-tid to its items, in transaction order; on the map a tid that returns
-after its run, or a one-row run, holds a list until the end of the input.
+file is never held whole, and hands each chunk's lines on as one list.
+Both parsers keep a dict from each raw field to its item id in front of
+``ItemDictionary.intern``, so only a field not seen before is trimmed and
+interned; only a line that is empty or opens with ``#`` or a space is
+stripped to test it for a comment or a blank; and they build the
+``TransactionDb`` through a constructor that skips the validation their
+own canonical output cannot fail.
+
+While each new trimmed tid sorts after the one before it, as in a
+point-of-sale export listed by ascending receipt id, tid-pairs ingest
+keeps no tid map: each tid's rows close into its sorted tuple as its run
+ends (sorted in place, and through a ``set`` only if the run repeats an
+item), and the tids are kept as newline-joined text. The first tid out of
+that order rebuilds the map, one dict from each trimmed tid to its items,
+in transaction order; on the map a tid that returns after its run, or a
+one-row run, holds a list until the end of the input.
 
 All thresholds and scores are exact rationals (``fractions.Fraction``),
 never floats, so results are bit-reproducible across engines and runs.
@@ -48,6 +53,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import chain
+from operator import eq
 
 ItemSet = tuple[int, ...]
 
@@ -343,7 +349,7 @@ _BOM = "\ufeff"  # dropped once at the start of a file, as "utf-8-sig" does
 
 
 def read_lines(stream: io.BufferedIOBase) -> Iterator[str]:
-    """Yield the lines of the UTF-8 byte ``stream`` exactly as
+    """Iterate over the lines of the UTF-8 byte ``stream`` exactly as
     ``text.splitlines()`` splits its whole decoded text, less one byte
     order mark (U+FEFF) at its very start; one anywhere else is kept.
 
@@ -354,13 +360,20 @@ def read_lines(stream: io.BufferedIOBase) -> Iterator[str]:
     chunks is read whole; a line is split once, however many chunks it
     spans. Bytes that are not UTF-8 raise ``UnicodeError``, worded as
     decoding the whole stream at once would word it; every line that ends
-    before them is yielded first.
+    before them is read out first.
 
-    ``io.TextIOWrapper(stream, "utf-8", newline="")`` iterated by line,
-    each line split again, gives the same lines at about three times the
-    per-line cost, and on bad bytes it drops the lines before them in its
-    buffer.
+    The lines leave a chunk at a time, as one list that
+    ``chain.from_iterable`` hands out line by line, so a line costs no
+    generator resume. ``io.TextIOWrapper(stream, "utf-8", newline="")``
+    iterated by line, each line split again, gives the same lines at about
+    three times the cost (Python 3.11, on files of 200,000 and 10^6 short
+    lines), and on bad bytes it drops the lines before them in its buffer.
     """
+    return chain.from_iterable(_chunk_lines(stream))
+
+
+def _chunk_lines(stream: io.BufferedIOBase) -> Iterator[list[str]]:
+    """The lines of ``read_lines``, a list for each chunk that ends one."""
     decoder = codecs.getincrementaldecoder("utf-8")()
     carry: list[str] = []  # the unfinished last line, a piece per chunk
     decoded = 0  # bytes given to the decoder before this chunk
@@ -375,7 +388,7 @@ def read_lines(stream: io.BufferedIOBase) -> Iterator[str]:
             if not started:
                 good = good.removeprefix(_BOM)
             # The sentinel ends the unfinished line that holds the bad bytes.
-            yield from ("".join(carry) + good + "\0").splitlines()[:-1]
+            yield ("".join(carry) + good + "\0").splitlines()[:-1]
             raise _decode_error(exc, decoded - pending) from None
         if piece and not started:
             started = True
@@ -387,7 +400,7 @@ def read_lines(stream: io.BufferedIOBase) -> Iterator[str]:
         text = "".join(carry)
         lines = text.splitlines()
         if not chunk:
-            yield from lines
+            yield lines
             return
         carry = []
         if lines:
@@ -395,7 +408,7 @@ def read_lines(stream: io.BufferedIOBase) -> Iterator[str]:
             if text[-1] in _LINE_BREAKS:
                 last += text[-1]
             carry.append(last)
-        yield from lines
+        yield lines
 
 
 def _decode_error(exc: UnicodeDecodeError, offset: int) -> UnicodeError:
@@ -441,8 +454,10 @@ def ingest_basket(lines: Iterable[str]) -> TransactionDb:
     transactions: list[ItemSet] = []
     for line_number, raw in enumerate(lines, start=1):
         # Every line is tested: a field seen before may still open a
-        # comment, as "#b" does after the line "a,#b".
-        if _is_comment_or_blank(raw):
+        # comment, as "#b" does after the line "a,#b". Only a line that is
+        # empty or opens with "#" or a space can be one.
+        if (not raw or raw[0] == "#" or raw[0].isspace()) \
+                and _is_comment_or_blank(raw):
             continue
         fields = raw.split(",")
         try:
@@ -469,16 +484,18 @@ def ingest_tid_pairs(lines: Iterable[str], skip_header: bool = False) -> Transac
     A row is checked and trimmed unless its raw tid field equals the last
     checked row's or is a trimmed tid that holds a list: such a field is
     an accepted row's tid, so the row is no comment, and its item is
-    appended to that list.
+    appended to that list. The first test needs no map lookup, so a row of
+    the current run takes none.
 
     While each new trimmed tid sorts after the one before it in (length,
     text) order, so "9" before "10", no tid can return and no tid map is
     kept: each run of rows closes into its sorted tuple when the next tid
-    starts, the tuples go into one list, and the tids are kept only as
-    newline-joined text, ``_BLOCK`` tids a block. The first tid that does
-    not sort after its predecessor, or that holds a line break, rebuilds
-    the map from that text, block by block, and the rest of the input
-    runs on the map.
+    starts (the run is sorted in place, and only one that then holds a
+    repeat goes through a ``set``), the tuples go into one list, and the
+    tids are kept only as newline-joined text, ``_BLOCK`` tids a block.
+    The first tid that does not sort after its predecessor, or that holds
+    a line break, rebuilds the map from that text, block by block, and the
+    rest of the input runs on the map.
 
     The map takes each trimmed tid to its items, in first-appearance
     order. A new tid's first run of rows collects its items in a list. The
@@ -500,9 +517,15 @@ def ingest_tid_pairs(lines: Iterable[str], skip_header: bool = False) -> Transac
     first = False  # whether ``run`` is its tid's first run in the map
     for line_number, raw in enumerate(lines, start=1):
         parts = raw.split(",")
+        # A field that is an accepted row's tid makes the row no comment.
         if len(parts) == 2:
-            items = run if parts[0] == field else by_tid.get(parts[0])
-            # The field is an accepted row's tid, so this row is no comment.
+            if parts[0] == field:
+                try:
+                    run.append(ids[parts[1]])
+                except KeyError:
+                    run.append(_item_id(parts[1], ids, dictionary, line_number))
+                continue
+            items = by_tid.get(parts[0])
             if type(items) is list:
                 try:
                     items.append(ids[parts[1]])
@@ -511,7 +534,8 @@ def ingest_tid_pairs(lines: Iterable[str], skip_header: bool = False) -> Transac
                 continue
         if skip_header and line_number == 1:
             continue
-        if _is_comment_or_blank(raw):
+        if (not raw or raw[0] == "#" or raw[0].isspace()) \
+                and _is_comment_or_blank(raw):
             continue
         if len(parts) != 2:
             raise IngestionError(
@@ -520,19 +544,28 @@ def ingest_tid_pairs(lines: Iterable[str], skip_header: bool = False) -> Transac
         name = parts[0].strip()
         if not name:
             raise IngestionError("empty transaction id", line_number)
-        item = _item_id(parts[1], ids, dictionary, line_number)
+        try:
+            item = ids[parts[1]]
+        except KeyError:
+            item = _item_id(parts[1], ids, dictionary, line_number)
         if name != tid:
             if closed is None:
                 if first and len(run) > 1:
                     by_tid[tid] = tuple(sorted(set(run)))
             else:
                 if run:
-                    closed.append(tuple(sorted(set(run))))
+                    # Sorted in place; only a run with a repeat needs a set.
+                    run.sort()
+                    items = tuple(run)
+                    if any(map(eq, items, items[1:])):
+                        items = tuple(sorted(set(run)))
+                    closed.append(items)
                     pending.append(tid)
                     if len(pending) == _BLOCK:
                         blocks.append("\n".join(pending))
                         pending = []
-                if "\n" not in name and (len(tid), tid) < (len(name), name):
+                if "\n" not in name and (len(tid) < len(name) or (
+                        len(tid) == len(name) and tid < name)):
                     tid = name
                     field = parts[0]
                     run = [item]

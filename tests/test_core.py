@@ -539,8 +539,11 @@ def outcome(parse, *args):
 
 
 # Fields that collide once trimmed ("a", " a", "a "), fields that open a
-# comment ("#b"), empty fields and tids with padding.
-FIELDS = ("a", " a", "a ", "b", "#b", " #b", "", " ", "1", " 1 ", "2", "tid")
+# comment ("#b"), empty fields and tids with padding; fields led by a space
+# outside ASCII ("\u3000#b" opens a comment, "\xa0a" trims to "a"), and by
+# U+200B, which is no space, so "\u200b#b" is a label.
+FIELDS = ("a", " a", "a ", "b", "#b", " #b", "", " ", "1", " 1 ", "2", "tid",
+          "\u3000#b", "\xa0a", "\u200b#b")
 ingest_lines = st.lists(
     st.lists(st.sampled_from(FIELDS), min_size=1, max_size=3).map(",".join),
     max_size=12)
@@ -721,6 +724,19 @@ class TestAscendingTids:
     ], ids=["text-sorted", "zero-padded", "numeric", "unskipped-header",
             "line-break-in-tid", "padded-after-rebuild"])
     def test_named_breaks_match_reference(self, lines):
+        assert outcome(ingest_tid_pairs, lines) == \
+            outcome(tid_pairs_reference, lines, False)
+
+    @pytest.mark.parametrize("lines, transactions", [
+        (["1,a", "1,b", "1,a", "2,c"], ((0, 1), (2,))),
+        (["1,b", "1,a", "1,b"], ((0, 1),)),
+        (["1,a", "1, a", "2,b"], ((0,), (1,))),
+    ], ids=["closes-at-next-tid", "closes-at-end-of-input",
+            "repeat-as-padded-field"])
+    def test_run_with_a_repeated_item(self, lines, transactions):
+        # A run closed while tids ascend is sorted in place; its repeats
+        # must still collapse to one membership.
+        assert ingest_tid_pairs(lines).transactions == transactions
         assert outcome(ingest_tid_pairs, lines) == \
             outcome(tid_pairs_reference, lines, False)
 
