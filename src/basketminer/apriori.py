@@ -25,7 +25,6 @@ from .core import (
     EmptyInputError,
     FrequentItemset,
     Frozen,
-    ItemSet,
     MiningParams,
     TransactionDb,
 )
@@ -42,9 +41,6 @@ class CandidateSet(Frozen):
     """
 
     __slots__ = _fields = ("candidates",)
-
-    def __init__(self, candidates: tuple[ItemSet, ...]) -> None:
-        object.__setattr__(self, "candidates", candidates)
 
 
 def frequent_singletons(db: TransactionDb, threshold: int) -> list[FrequentItemset]:

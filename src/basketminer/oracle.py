@@ -108,11 +108,8 @@ class GeneratorConfig(Frozen):
                 raise ConfigError(f"pattern probability {probability} not in [0, 1]")
         if not 0 <= seed < 2 ** 64:
             raise ConfigError("seed must be an unsigned 64-bit integer")
-        object.__setattr__(self, "num_transactions", num_transactions)
-        object.__setattr__(self, "universe_size", universe_size)
-        object.__setattr__(self, "basket_size_range", basket_size_range)
-        object.__setattr__(self, "patterns", patterns)
-        object.__setattr__(self, "seed", seed)
+        super().__init__(num_transactions, universe_size, basket_size_range,
+                         patterns, seed)
 
 
 def item_label(index: int) -> str:

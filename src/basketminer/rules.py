@@ -55,11 +55,8 @@ class RuleSet(Frozen):
     def __init__(self, rows: Sequence[int], itemsets: Sequence[ItemSet],
                  counts: Sequence[int], params: MiningParams,
                  n_transactions: int) -> None:
-        object.__setattr__(self, "rows", tuple(rows))
-        object.__setattr__(self, "itemsets", tuple(itemsets))
-        object.__setattr__(self, "counts", tuple(counts))
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "n_transactions", n_transactions)
+        super().__init__(tuple(rows), tuple(itemsets), tuple(counts), params,
+                         n_transactions)
 
     @property
     def rules(self) -> tuple[AssociationRule, ...]:

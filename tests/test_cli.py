@@ -773,6 +773,17 @@ class TestGen:
         assert out == ""
         assert err == "error: seed must be an unsigned 64-bit integer\n"
 
+    def test_label_basket_text_cannot_hold_exits_2(self, capsys, tmp_path):
+        # Written as "#a,b,...", every basket would read back as a comment.
+        path = tmp_path / "hashed.basket"
+        code, out, err = run_cli(capsys, [
+            "gen", "--transactions", "5", "--items", "5", "--basket-max", "3",
+            "--pattern", "#a,b:1", "--output", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err == "error: label '#a' cannot be written as basket text\n"
+        assert not path.exists()
+
     @pytest.mark.parametrize("items, widest", [(1, 1), (5, 5), (8, 8),
                                                (9, 8)])
     def test_default_basket_max_fits_the_items(self, capsys, items, widest):

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from basketminer.core import (
     ConfigError,
@@ -11,6 +13,7 @@ from basketminer.core import (
     ItemDictionary,
     MiningParams,
     TransactionDb,
+    ingest_basket,
     to_basket_text,
 )
 from basketminer.oracle import (
@@ -185,6 +188,32 @@ class TestGenerateDb:
         d = db.dictionary
         count = support_count(db, (d.id_of("alpha"), d.id_of("beta")))
         assert 0.44 <= count / db.n <= 0.56
+
+    # Labels drawn with "#", ",", a space and two line breaks (U+0085 and
+    # U+2028), which basket text cannot always hold.
+    pattern_label = st.text(alphabet="ab#, \x85\u2028", min_size=1,
+                            max_size=4).filter(str.strip)
+
+    @settings(max_examples=200, deadline=None)
+    @given(config=st.builds(
+        GeneratorConfig,
+        num_transactions=st.integers(1, 6),
+        universe_size=st.just(4),
+        basket_size_range=st.just((1, 3)),
+        patterns=st.lists(
+            st.tuples(st.lists(pattern_label, min_size=1, max_size=3)
+                      .map(tuple), st.sampled_from([0.5, 1.0])),
+            max_size=3).map(tuple),
+        seed=st.integers(0, 2 ** 64 - 1)))
+    def test_basket_text_refuses_or_round_trips(self, config):
+        db = generate_db(config)
+        try:
+            text = to_basket_text(db)
+        except ValueError:
+            return
+        again = ingest_basket(text.splitlines())
+        assert again.transactions == db.transactions
+        assert again.dictionary == db.dictionary
 
 
 class TestOracleAsOracle:
